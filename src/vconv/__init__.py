@@ -13,7 +13,8 @@ from .eval import (ConversionReport, ZeroBaselineError, conversion_report,
                    mcd_frame, mcd_sequences)
 from .lpc import (FilterUnstableError, LpcFrame, RootConvergenceError,
                   analyze_frame, autocorrelate, inverse_filter,
-                  levinson_durbin, lpc_poles, synthesis_filter)
+                  levinson_durbin, lpc_poles, stable_rows,
+                  synthesis_filter)
 from .lsf import (LsfConversionError, lpc_to_lsf, lsf_to_lpc, rectify_lsf,
                   validate_lsf)
 from .mlp import (MlpModel, ModelDimensionError, ModelFormatError,

@@ -22,8 +22,9 @@ import numpy as np
 from .align import dtw_align, pair_frames
 from .eval import ConversionReport, conversion_report
 from .lpc import (FilterUnstableError, LpcFrame, RootConvergenceError,
-                  analyze_frame, inverse_filter, lpc_poles, synthesis_filter)
-from .lsf import LsfConversionError, lpc_to_lsf, lsf_to_lpc, rectify_lsf, validate_lsf
+                  analyze_frame, inverse_filter, lpc_poles, stable_rows,
+                  synthesis_filter)
+from .lsf import lpc_to_lsf, lsf_to_lpc, rectify_lsf, validate_lsf
 from .mlp import MlpModel, TrainConfig, forward, init_mlp, load_model, save_model, train
 from .signal_io import (Waveform, deemphasize, frame_signal, hop_segments,
                         preemphasize, read_wav, write_wav)
@@ -93,6 +94,11 @@ def uniform_lsf(order: int) -> np.ndarray:
     return np.arange(1, order + 1) * np.pi / (order + 1)
 
 
+def _lpc_frames(coeffs: np.ndarray, gains) -> list:
+    """One LpcFrame per row of a (frames, order) coefficient track."""
+    return [LpcFrame(coefficients=c, gain=float(g)) for c, g in zip(coeffs, gains)]
+
+
 def analyze_waveform(wave: Waveform, order: int = 24, frame_ms: float = 25.0,
                      hop_ms: float = 5.0, alpha: float = 0.97,
                      sigma: float = 0.4):
@@ -110,31 +116,22 @@ def analyze_waveform(wave: Waveform, order: int = 24, frame_ms: float = 25.0,
     frames = frame_signal(pre, frame_ms, hop_ms, sigma)
     segments = hop_segments(pre, frames.hop, len(frames))
 
-    lsf_rows = np.empty((len(frames), order))
-    gains = np.empty(len(frames))
-    fallbacks = 0
-    previous = uniform_lsf(order)
-    for i in range(len(frames)):
-        lpcf = analyze_frame(frames.frames[i], order)
-        try:
-            omegas = lpc_to_lsf(lpcf)
-        except LsfConversionError:
-            omegas = previous.copy()
-            fallbacks += 1
-        lsf_rows[i] = omegas
-        gains[i] = lpcf.gain
-        previous = omegas
+    lpc_frames = [analyze_frame(frame, order) for frame in frames.frames]
+    gains = np.array([f.gain for f in lpc_frames])
+    lsf_rows = lpc_to_lsf(np.stack([f.coefficients for f in lpc_frames]))
+    failed = np.flatnonzero(np.isnan(lsf_rows[:, 0]))
+    for i in failed:  # ascending, so row i - 1 is already filled
+        lsf_rows[i] = lsf_rows[i - 1] if i else uniform_lsf(order)
 
     state = np.zeros(order)
     initial_state = state.copy()
     residuals = np.empty((len(frames), frames.hop))
-    for i in range(len(frames)):
-        filt = lsf_to_lpc(lsf_rows[i], gains[i])
+    for i, filt in enumerate(_lpc_frames(lsf_to_lpc(lsf_rows), gains)):
         residuals[i], state = inverse_filter(segments[i], filt, state)
 
     feats = FeatureTrack(lsf=lsf_rows, gains=gains, sample_rate=wave.sample_rate,
                          frame_ms=frame_ms, hop_ms=hop_ms, order=order,
-                         alpha=alpha, sigma=sigma, fallbacks=fallbacks)
+                         alpha=alpha, sigma=sigma, fallbacks=len(failed))
     resid = ResidualTrack(segments=residuals, initial_state=initial_state,
                           sample_rate=wave.sample_rate, alpha=alpha)
     return feats, resid
@@ -148,20 +145,11 @@ def resynthesize(feats: FeatureTrack, resid: ResidualTrack) -> Waveform:
                          f"{len(resid)} residual segments")
     state = np.asarray(resid.initial_state, dtype=np.float64).copy()
     pieces = []
-    for i in range(len(feats)):
-        filt = lsf_to_lpc(feats.lsf[i], feats.gains[i])
+    for i, filt in enumerate(_lpc_frames(lsf_to_lpc(feats.lsf), feats.gains)):
         seg, state = synthesis_filter(resid.segments[i], filt, state)
         pieces.append(seg)
     return Waveform(samples=np.concatenate(pieces),
                     sample_rate=resid.sample_rate)
-
-
-def _frame_unstable(frame: LpcFrame) -> bool:
-    try:
-        poles = lpc_poles(frame)
-    except RootConvergenceError as err:
-        poles = err.roots
-    return bool(np.any(np.abs(poles) >= 1.0))
 
 
 def map_features(model: MlpModel, feats: FeatureTrack, raw_lpc: bool = False):
@@ -177,16 +165,12 @@ def map_features(model: MlpModel, feats: FeatureTrack, raw_lpc: bool = False):
         raise ValueError(f"model maps {sizes[0]}->{sizes[-1]} dims, "
                          f"features have order {feats.order}")
     if raw_lpc:
-        coeffs = np.stack([lsf_to_lpc(feats.lsf[i], 1.0).coefficients
-                           for i in range(len(feats))])
-        mapped = forward(model, coeffs)
-        frames = [LpcFrame(coefficients=mapped[i].copy(), gain=feats.gains[i])
-                  for i in range(len(feats))]
+        coeffs = forward(model, lsf_to_lpc(feats.lsf))
     else:
-        mapped = forward(model, feats.normalized)
-        frames = [lsf_to_lpc(rectify_lsf(mapped[i] * np.pi), feats.gains[i])
-                  for i in range(len(feats))]
-    unstable = sum(_frame_unstable(f) for f in frames)
+        mapped = forward(model, feats.normalized) * np.pi
+        coeffs = lsf_to_lpc(np.stack([rectify_lsf(row) for row in mapped]))
+    frames = _lpc_frames(coeffs, feats.gains)
+    unstable = int(np.count_nonzero(~stable_rows(coeffs)))
     stats = ConvertStats(total_frames=len(frames), unstable_frames=unstable,
                          overflow_frames=0, fallback_frames=feats.fallbacks)
     return frames, stats
@@ -300,6 +284,9 @@ def read_features(path) -> FeatureTrack:
     if table is None:
         raise FeatureFormatError(f"{path}: rows must hold gain plus {order} LSF values")
     lsf = table[:, 1:]
+    bad_gain = np.flatnonzero(~np.isfinite(table[:, 0]))
+    if len(bad_gain):
+        raise FeatureFormatError(f"{path}: frame {bad_gain[0]} gain is not finite")
     for i, row in enumerate(lsf):
         if not validate_lsf(row):
             raise FeatureFormatError(f"{path}: frame {i} LSF row is not "
@@ -312,7 +299,8 @@ def read_features(path) -> FeatureTrack:
         order=order,
         alpha=_meta_value(meta, "alpha", float, path),
         sigma=_meta_value(meta, "sigma", float, path),
-        fallbacks=int(meta.get("fallbacks", 0)),
+        fallbacks=(_meta_value(meta, "fallbacks", int, path)
+                   if "fallbacks" in meta else 0),
     )
 
 
@@ -426,9 +414,8 @@ def cmd_train(args) -> int:
         ft = _load_track(tgt, args)
         alignment = dtw_align(fs.normalized, ft.normalized)
         if args.raw_lpc:
-            ca = np.stack([lsf_to_lpc(row, 1.0).coefficients for row in fs.lsf])
-            cb = np.stack([lsf_to_lpc(row, 1.0).coefficients for row in ft.lsf])
-            pairs.extend(pair_frames(alignment, ca, cb))
+            pairs.extend(pair_frames(alignment, lsf_to_lpc(fs.lsf),
+                                     lsf_to_lpc(ft.lsf)))
         else:
             pairs.extend(pair_frames(alignment, fs.normalized, ft.normalized))
 
@@ -488,8 +475,7 @@ def cmd_poles(args) -> int:
                       for i in range(len(frames))]
     else:
         feats = read_features(args.input)
-        lpc_frames = [lsf_to_lpc(feats.lsf[i], feats.gains[i])
-                      for i in range(len(feats))]
+        lpc_frames = _lpc_frames(lsf_to_lpc(feats.lsf), feats.gains)
     write_poles(lpc_frames, args.out)
     print(f"{args.out}: {len(lpc_frames)} frames")
     return 0

@@ -151,6 +151,29 @@ def synthesis_filter(residual, lpc: LpcFrame, state):
     return out, new_state
 
 
+def stable_rows(coefficients) -> np.ndarray:
+    """Per predictor row: True iff every pole of 1/A(z) lies strictly inside
+    the unit circle.
+
+    Step-down (backward Levinson) recursion: peel the reflection
+    coefficients k_p, ..., k_1 off the predictor; the filter is stable iff
+    every |k_i| < 1 (Markel & Gray, Linear Prediction of Speech, 1976,
+    ch. 5).  O(p^2) per row with no iteration; a non-finite k_i makes its
+    row unstable.  A 1-D input is one row.
+    """
+    a = np.array(coefficients, dtype=np.float64, ndmin=2)
+    stable = np.ones(len(a), dtype=bool)
+    # rows already found unstable may overflow or divide by zero below;
+    # their verdict is settled, so the warnings carry nothing
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(a.shape[1], 0, -1):
+            k = a[:, i - 1]
+            stable &= np.abs(k) < 1.0
+            head = a[:, :i - 1]
+            a = (head + k[:, None] * head[:, ::-1]) / (1.0 - k * k)[:, None]
+    return stable
+
+
 def _horner(coeffs, z):
     v = np.zeros_like(z)
     for c in coeffs:

@@ -10,10 +10,16 @@ those, each polynomial has p/2 conjugate root pairs exactly on the unit
 circle whose angles interleave.  The merged ascending angles are the LSF
 vector; the filter is stable iff the angles are strictly ascending in
 (0, pi).  Root angles are located by evaluating the deflated polynomials'
-real cosine form on a uniform grid and bisecting each sign change.
+real cosine form on a uniform grid and bisecting each sign change
+(Kabal & Ramachandran, IEEE TASSP 34(6), 1986).
+
+Both directions work on a whole track, a (frames, order) array, at once;
+a single frame is a one-row track of the same code.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -22,121 +28,216 @@ from .lpc import LpcFrame
 MIN_GAP = 1e-4  # smallest admissible spacing between adjacent frequencies
 GRID_SIZE = 4096  # uniform subintervals of (0, pi) scanned for sign changes
 _BISECT_TOL = 1e-13  # interval width at which bisection stops
+# frames whose grid values are held at once, so the working set is bounded
+# whatever the track length; a 120-frame track in one block costs about
+# 16 MB more peak memory and runs no faster
+_BLOCK_FRAMES = 8
+
+# why a frame has no LSF vector, indexed by failure code (0: it has one),
+# in the order the checks run
+_FAILURES = (None,
+             "wrong number of unit-circle roots (filter unstable or roots "
+             "closer than the grid)",
+             "sum/difference root angles do not interleave",
+             "computed angles are not strictly ascending in (0, pi)")
 
 
 class LsfConversionError(ValueError):
     """The frame has no valid LSF representation (unstable or defective)."""
 
 
-def _cosine_form(sym_coeffs: np.ndarray) -> np.ndarray:
-    """Weights g such that G(w) = sum_k g[k] cos(k*w) matches the deflated
-    palindromic polynomial on the unit circle (up to a phase factor)."""
-    m = (len(sym_coeffs) - 1) // 2
-    g = np.empty(m + 1)
-    g[0] = sym_coeffs[m]
-    g[1:] = 2.0 * sym_coeffs[m - 1::-1]
+def _check_order(p: int) -> None:
+    if p % 2 != 0 or p == 0:
+        raise ValueError(f"only even orders are supported, got {p}")
+
+
+@functools.lru_cache(maxsize=4)
+def _grid(terms: int):
+    """Grid angles and the table cos(k * omega) for k < terms, read-only."""
+    omega = np.linspace(0.0, np.pi, GRID_SIZE + 1)
+    table = np.cos(np.outer(np.arange(terms), omega))
+    omega.flags.writeable = False
+    table.flags.writeable = False
+    return omega, table
+
+
+def _cosine_forms(coeffs: np.ndarray) -> np.ndarray:
+    """Weights g with G(w) = sum_k g[k] cos(k*w) matching each frame's
+    deflated P (row 2f) and Q (row 2f + 1) on the unit circle, up to a
+    phase factor."""
+    n, p = coeffs.shape
+    a_ext = np.zeros((n, p + 2))
+    a_ext[:, 0] = 1.0
+    a_ext[:, 1:p + 1] = -coeffs
+    psum = a_ext + a_ext[:, ::-1]
+    qdiff = a_ext - a_ext[:, ::-1]
+
+    # deflate the trivial roots: P by (1 + z^-1), Q by (1 - z^-1)
+    sym = np.empty((n, 2, p + 1))
+    sym[:, 0, 0] = psum[:, 0]
+    sym[:, 1, 0] = qdiff[:, 0]
+    for i in range(1, p + 1):
+        sym[:, 0, i] = psum[:, i] - sym[:, 0, i - 1]
+        sym[:, 1, i] = qdiff[:, i] + sym[:, 1, i - 1]
+    sym = sym.reshape(2 * n, p + 1)
+
+    m = p // 2
+    g = np.empty((2 * n, m + 1))
+    g[:, 0] = sym[:, m]
+    g[:, 1:] = 2.0 * sym[:, m - 1::-1]
     return g
 
 
-def _eval_cos(g: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    k = np.arange(len(g))
-    return g @ np.cos(np.outer(k, omega))
+def _cosine_roots(g: np.ndarray, expected: int):
+    """Ascending angles in (0, pi) where each row's cosine form crosses zero.
 
+    Returns (angles, ok): rows of `angles` whose root count is not
+    `expected` are NaN and false in `ok`.
+    """
+    omega, table = _grid(g.shape[1])
+    # Batched sums add a form's terms in another order than a lone row's
+    # matrix-vector product; each errs by at most terms * eps * sum|g|.  A
+    # value that close to zero is evaluated again as a lone row, so its sign,
+    # and with it every root, is bit-identical to a one-frame call.
+    noise = 2 * g.shape[1] * np.finfo(np.float64).eps * np.abs(g).sum(axis=1)
+    ok = np.empty(len(g), dtype=bool)
+    brackets = [(np.empty(0, int), np.empty(0, int), np.empty(0))]
+    exact_roots = [(np.empty(0, int), np.empty(0))]
+    for start in range(0, len(g), 2 * _BLOCK_FRAMES):
+        values = g[start:start + 2 * _BLOCK_FRAMES] @ table
+        near_zero = np.abs(values) <= noise[start:start + len(values), None]
+        for i in np.flatnonzero(near_zero.any(axis=1)):
+            values[i] = g[start + i] @ table
+        change = values[:, :-1] * values[:, 1:] < 0.0
+        exact = values[:, 1:-1] == 0.0  # grid point is a root
+        block_ok = change.sum(axis=1) + exact.sum(axis=1) == expected
+        ok[start:start + len(values)] = block_ok
+        r, c = np.nonzero(change & block_ok[:, None])
+        brackets.append((r + start, c, values[r, c]))
+        r, c = np.nonzero(exact & block_ok[:, None])
+        exact_roots.append((r + start, omega[c + 1]))
+    rows, cols, vlo = (np.concatenate(x) for x in zip(*brackets))
 
-def _unit_circle_angles(g: np.ndarray, expected: int) -> np.ndarray:
-    """Angles in (0, pi) where the cosine form crosses zero."""
-    omega = np.linspace(0.0, np.pi, GRID_SIZE + 1)
-    values = _eval_cos(g, omega)
-    sign_change = values[:-1] * values[1:] < 0
-    hits = np.flatnonzero(sign_change)
-    exact = np.flatnonzero(values[1:-1] == 0.0) + 1  # grid point is a root
-
-    if len(hits) + len(exact) != expected:
-        raise LsfConversionError(
-            f"found {len(hits) + len(exact)} unit-circle roots, expected "
-            f"{expected} (filter unstable or roots closer than the grid)")
-
-    lo = omega[hits]
-    hi = omega[hits + 1]
-    vlo = values[hits]
+    # bisect every bracket of every row together
+    weights = g[rows]
+    segment = np.searchsorted(rows, np.arange(len(g) + 1))  # row r's brackets
+    k = np.arange(g.shape[1])
+    lo = omega[cols]
+    hi = omega[cols + 1]
     while np.max(hi - lo, initial=0.0) > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        vmid = _eval_cos(g, mid)
+        vmid = np.einsum("ij,ij->i", weights, np.cos(np.multiply.outer(mid, k)))
+        for r in np.unique(rows[np.abs(vmid) <= noise[rows]]):
+            seg = slice(segment[r], segment[r + 1])
+            vmid[seg] = g[r] @ np.cos(np.multiply.outer(k, mid[seg]))
         take_lo = np.sign(vmid) == np.sign(vlo)
         lo = np.where(take_lo, mid, lo)
         vlo = np.where(take_lo, vmid, vlo)
         hi = np.where(take_lo, hi, mid)
-    roots = 0.5 * (lo + hi)
-    if len(exact):
-        roots = np.sort(np.concatenate([roots, omega[exact]]))
-    return roots
+
+    # each good row holds exactly `expected` roots; sort them within rows
+    exact_rows, exact_angles = (np.concatenate(x) for x in zip(*exact_roots))
+    root_rows = np.concatenate([rows, exact_rows])
+    roots = np.concatenate([0.5 * (lo + hi), exact_angles])
+    order = np.lexsort((roots, root_rows))
+    angles = np.full((len(g), expected), np.nan)
+    angles[ok] = roots[order].reshape(-1, expected)
+    return angles, ok
 
 
-def lpc_to_lsf(lpc: LpcFrame) -> np.ndarray:
-    """Line spectral frequencies of a stable even-order predictor, ascending."""
-    p = lpc.order
-    if p % 2 != 0 or p == 0:
-        raise ValueError(f"only even orders are supported, got {p}")
-    a_ext = np.concatenate([[1.0], -np.asarray(lpc.coefficients, np.float64), [0.0]])
-    psum = a_ext + a_ext[::-1]
-    qdiff = a_ext - a_ext[::-1]
+def _track_to_lsf(coeffs: np.ndarray):
+    """LSF rows of a (frames, order) coefficient array.
 
-    # deflate the trivial roots: P by (1 + z^-1), Q by (1 - z^-1)
-    p1 = np.empty(p + 1)
-    q1 = np.empty(p + 1)
-    p1[0] = psum[0]
-    q1[0] = qdiff[0]
-    for i in range(1, p + 1):
-        p1[i] = psum[i] - p1[i - 1]
-        q1[i] = qdiff[i] + q1[i - 1]
-
-    half = p // 2
-    omegas_p = _unit_circle_angles(_cosine_form(p1), half)
-    omegas_q = _unit_circle_angles(_cosine_form(q1), half)
-
-    interleaved = np.all(omegas_p < omegas_q) and np.all(
-        omegas_q[:-1] < omegas_p[1:])
-    if not interleaved:
-        raise LsfConversionError("sum/difference root angles do not interleave")
-    omegas = np.sort(np.concatenate([omegas_p, omegas_q]))
-    if not validate_lsf(omegas):
-        raise LsfConversionError("computed angles are not strictly ascending in (0, pi)")
-    return omegas
+    Returns (lsf, failure): a frame that fails a check is a NaN row of
+    `lsf`, and `failure` holds the first check it failed (0 if none).
+    """
+    half = coeffs.shape[1] // 2
+    angles, ok = _cosine_roots(_cosine_forms(coeffs), half)
+    omegas_p, omegas_q = angles[0::2], angles[1::2]
+    counted = ok[0::2] & ok[1::2]
+    interleaved = (np.all(omegas_p < omegas_q, axis=1)
+                   & np.all(omegas_q[:, :-1] < omegas_p[:, 1:], axis=1))
+    lsf = np.empty(coeffs.shape)
+    lsf[:, 0::2] = omegas_p
+    lsf[:, 1::2] = omegas_q
+    failure = np.select(
+        [~counted, ~interleaved, ~_ascending_rows(lsf)],
+        [1, 2, 3], default=0)
+    lsf[failure != 0] = np.nan
+    return lsf, failure
 
 
-def lsf_to_lpc(lsf: np.ndarray, gain: float = 1.0) -> LpcFrame:
-    """Rebuild the predictor from ascending line spectral frequencies.
+def lpc_to_lsf(lpc):
+    """Line spectral frequencies of stable even-order predictors, ascending.
 
-    Even positions (0-based) of the ascending vector belong to the
-    palindromic polynomial, odd positions to the antipalindromic one.
+    `lpc` is one LpcFrame, or the (frames, order) predictor coefficients of
+    a track.  One frame gives its LSF vector and raises LsfConversionError
+    when it has none.  A track gives a (frames, order) array in which every
+    frame without a valid LSF vector is a row of NaN.
+    """
+    single = isinstance(lpc, LpcFrame)
+    coeffs = np.asarray(lpc.coefficients if single else lpc, dtype=np.float64)
+    coeffs = coeffs.reshape(1, -1) if single else coeffs
+    if coeffs.ndim != 2:
+        raise ValueError(f"expected a (frames, order) array, got shape {coeffs.shape}")
+    _check_order(coeffs.shape[1])
+    lsf, failure = _track_to_lsf(coeffs)
+    if not single:
+        return lsf
+    if failure[0]:
+        raise LsfConversionError(_FAILURES[failure[0]])
+    return lsf[0]
+
+
+def lsf_to_lpc(lsf, gain: float = 1.0):
+    """Rebuild predictors from ascending line spectral frequencies.
+
+    One LSF vector gives an LpcFrame carrying `gain`; a (frames, order)
+    track gives the (frames, order) predictor coefficients.  Even positions
+    (0-based) of an ascending vector belong to the palindromic polynomial,
+    odd positions to the antipalindromic one.
     """
     omegas = np.asarray(lsf, dtype=np.float64)
-    p = len(omegas)
-    if p % 2 != 0 or p == 0:
-        raise ValueError(f"only even orders are supported, got {p}")
-    if not validate_lsf(omegas):
-        raise ValueError("LSF vector must be strictly ascending in (0, pi)")
+    rows = omegas.reshape(1, -1) if omegas.ndim == 1 else omegas
+    if rows.ndim != 2:
+        raise ValueError(f"expected an LSF vector or track, got shape {omegas.shape}")
+    n, p = rows.shape
+    _check_order(p)
+    bad = np.flatnonzero(~_ascending_rows(rows))
+    if len(bad):
+        raise ValueError(f"LSF vector {bad[0]} must be strictly ascending in (0, pi)")
 
     def expand(angles, trivial):
-        poly = np.array(trivial, dtype=np.float64)
-        for w in angles:
-            poly = np.convolve(poly, [1.0, -2.0 * np.cos(w), 1.0])
+        # multiply in each factor 1 - 2 cos(w) z^-1 + z^-2
+        poly = np.tile(trivial, (n, 1))
+        for b in (-2.0 * np.cos(angles)).T:
+            prev = poly
+            poly = np.zeros((n, prev.shape[1] + 2))
+            poly[:, 2:] = prev
+            poly[:, 1:-1] += b[:, None] * prev
+            poly[:, :-2] += prev
         return poly
 
-    psum = expand(omegas[0::2], [1.0, 1.0])
-    qdiff = expand(omegas[1::2], [1.0, -1.0])
-    a_full = 0.5 * (psum + qdiff)  # degree p+1; leading 1, trailing ~0
-    return LpcFrame(coefficients=-a_full[1:p + 1], gain=float(gain))
+    psum = expand(rows[:, 0::2], [1.0, 1.0])
+    qdiff = expand(rows[:, 1::2], [1.0, -1.0])
+    coeffs = -0.5 * (psum + qdiff)[:, 1:p + 1]  # degree p+1; trailing ~0
+    if omegas.ndim == 1:
+        return LpcFrame(coefficients=coeffs[0], gain=float(gain))
+    return coeffs
+
+
+def _ascending_rows(om: np.ndarray) -> np.ndarray:
+    """Per row: finite, strictly ascending and inside (0, pi)."""
+    return (np.all(np.isfinite(om), axis=1) & (om[:, 0] > 0.0)
+            & (om[:, -1] < np.pi) & np.all(np.diff(om, axis=1) > 0.0, axis=1))
 
 
 def validate_lsf(omegas) -> bool:
     """True iff strictly ascending and inside the open interval (0, pi)."""
     om = np.asarray(omegas, dtype=np.float64)
-    if len(om) == 0:
+    if om.ndim != 1 or len(om) == 0:
         return False
-    if not np.all(np.isfinite(om)):
-        return False
-    return bool(om[0] > 0.0 and om[-1] < np.pi and np.all(np.diff(om) > 0.0))
+    return bool(_ascending_rows(om.reshape(1, -1))[0])
 
 
 def rectify_lsf(raw) -> np.ndarray:

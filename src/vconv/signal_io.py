@@ -12,6 +12,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
 _SCALE = 32768.0
@@ -179,11 +180,8 @@ def frame_signal(w: Waveform, frame_ms: float = 25.0, hop_ms: float = 5.0,
     if n < length:
         raise ValueError(f"signal of {n} samples is shorter than one "
                          f"{length}-sample frame")
-    count = (n - length) // hop + 1
     window = gaussian_window(length, sigma)
-    frames = np.empty((count, length))
-    for i in range(count):
-        frames[i] = x[i * hop:i * hop + length] * window
+    frames = sliding_window_view(x, length)[::hop] * window
     return FrameSequence(frames=frames, hop=hop, window=window, source_length=n)
 
 
@@ -194,8 +192,7 @@ def hop_segments(w: Waveform, hop: int, count: int) -> np.ndarray:
     end of the signal are zero padded.
     """
     x = np.asarray(w.samples, dtype=np.float64)
-    out = np.zeros((count, hop))
-    for i in range(count):
-        seg = x[i * hop:(i + 1) * hop]
-        out[i, :len(seg)] = seg
-    return out
+    out = np.zeros(count * hop)
+    covered = min(len(x), len(out))
+    out[:covered] = x[:covered]
+    return out.reshape(count, hop)

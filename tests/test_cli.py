@@ -1,11 +1,16 @@
 """Pipeline functions, feature/residual/report files and the CLI verbs."""
 
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import vconv.cli
 from vconv.cli import (
     FeatureFormatError,
     analyze_waveform,
+    build_parser,
     main,
     map_features,
     read_features,
@@ -150,6 +155,54 @@ def test_read_features_rejects_invalid_lsf_row(tmp_path, utterance):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FeatureFormatError):
         read_features(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_read_features_rejects_non_finite_gain(tmp_path, utterance, value):
+    feats, _ = analyze_waveform(utterance)
+    path = tmp_path / "u.feat.csv"
+    write_features(feats, path)
+    lines = path.read_text().splitlines()
+    lines[-1] = ",".join([value] + lines[-1].split(",")[1:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FeatureFormatError):
+        read_features(path)
+
+
+def test_read_features_rejects_bad_fallbacks_header(tmp_path, utterance):
+    feats, _ = analyze_waveform(utterance)
+    path = tmp_path / "u.feat.csv"
+    write_features(feats, path)
+    path.write_text(path.read_text().replace("# fallbacks=0", "# fallbacks=x", 1))
+    with pytest.raises(FeatureFormatError):
+        read_features(path)
+
+
+@pytest.mark.parametrize("bad", [0, 5])
+def test_analyze_falls_back_on_failed_frame(monkeypatch, utterance, bad):
+    """A frame without an LSF vector reuses the previous frame's vector (the
+    uniform vector for frame 0) and is counted; other frames are untouched."""
+    clean, clean_resid = analyze_waveform(utterance)
+    calls = []
+    real = vconv.cli.analyze_frame
+
+    def analyze_with_one_unstable(frame, order):
+        calls.append(None)
+        if len(calls) - 1 != bad:
+            return real(frame, order)
+        coeffs = np.zeros(order)
+        coeffs[1] = 1.1  # poles at +-sqrt(1.1), outside the unit circle
+        return LpcFrame(coefficients=coeffs, gain=0.5)
+
+    monkeypatch.setattr(vconv.cli, "analyze_frame", analyze_with_one_unstable)
+    feats, resid = analyze_waveform(utterance)
+    assert feats.fallbacks == 1
+    expected = clean.lsf[bad - 1] if bad else uniform_lsf(24)
+    np.testing.assert_array_equal(feats.lsf[bad], expected)
+    assert feats.gains[bad] == 0.5
+    keep = np.arange(len(feats)) != bad
+    np.testing.assert_array_equal(feats.lsf[keep], clean.lsf[keep])
+    np.testing.assert_array_equal(resid.segments[:bad], clean_resid.segments[:bad])
 
 
 def test_map_features_identity_model(utterance):
@@ -391,3 +444,13 @@ def test_cli_poles_subcommand(tmp_path, utterance, capsys):
     assert main(["poles", str(feat), "--out", str(out2)]) == 0
     assert out2.read_text().splitlines()[0] == "frame,re,im,magnitude"
     capsys.readouterr()
+
+
+def test_readme_quickstart_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quickstart", 1)[1].split("```")[1]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("vconv ")]
+    assert len(commands) >= 5
+    for argv in commands:
+        build_parser().parse_args(argv[1:])

@@ -15,6 +15,7 @@ from vconv.lpc import (
     inverse_filter,
     levinson_durbin,
     lpc_poles,
+    stable_rows,
     synthesis_filter,
 )
 
@@ -271,3 +272,44 @@ def test_root_convergence_error_carries_iterate(monkeypatch):
         lpc_poles(lpc)
     assert exc.value.roots is not None
     assert len(exc.value.roots) == 2
+
+
+def _poly_from_radii(rng, radii):
+    """Real predictor whose poles are conjugate pairs at the given radii."""
+    angles = rng.uniform(0.05, np.pi - 0.05, len(radii))
+    poles = radii * np.exp(1j * angles)
+    return -np.poly(np.concatenate([poles, poles.conj()])).real[1:]
+
+
+def test_step_down_agrees_with_numpy_roots():
+    """Stable and unstable predictors, some with a pole pair within 1e-9
+    of the unit circle on either side."""
+    rng = np.random.default_rng(13)
+    rows, expected = [], []
+    for trial in range(300):
+        order = 2 * int(rng.integers(1, 13))
+        radii = rng.uniform(0.2, 1.05, order // 2)
+        if trial % 2:
+            radii[0] = 1.0 + rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-12, -9)
+        a = _poly_from_radii(rng, radii)
+        verdict = np.all(np.abs(np.roots(np.concatenate([[1.0], -a]))) < 1.0)
+        assert verdict == np.all(radii < 1.0)  # the reference is not fooled
+        assert stable_rows(a)[0] == verdict
+        if order == 24:
+            rows.append(a)
+            expected.append(verdict)
+    # a track of rows gives each row's own verdict
+    np.testing.assert_array_equal(stable_rows(np.stack(rows)), expected)
+
+
+def test_step_down_edge_cases():
+    assert stable_rows([0.5])[0] and not stable_rows([1.0])[0]
+    assert not stable_rows([0.0, 1.1])[0]  # poles at +-sqrt(1.1)
+    assert stable_rows(np.zeros(24))[0]
+    assert not stable_rows([0.5, np.nan])[0]
+    assert not stable_rows([np.inf, 0.1])[0]
+    # Levinson-Durbin output is minimum phase
+    rng = np.random.default_rng(14)
+    frames = np.stack([analyze_frame(rng.standard_normal(300), 16).coefficients
+                       for _ in range(20)])
+    assert stable_rows(frames).all()

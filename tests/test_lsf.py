@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from vconv.lpc import LpcFrame, analyze_frame, lpc_poles
+from vconv.signal_io import frame_signal, preemphasize
+from vconv.testkit import synthesize_utterance, utterance_pair_specs
 from vconv.lsf import (
+    GRID_SIZE,
     MIN_GAP,
     LsfConversionError,
+    _cosine_roots,
     lpc_to_lsf,
     lsf_to_lpc,
     rectify_lsf,
@@ -182,3 +186,121 @@ def test_rectified_perturbations_convert_stably():
         noisy = _crowded_lsf(rng, 24) + rng.normal(0.0, 1e-3, size=24)
         out = rectify_lsf(noisy)
         assert np.all(np.abs(lpc_poles(lsf_to_lpc(out))) < 1.0)
+
+
+def _roots_lsf(coeffs):
+    """Reference LSF: angles of the numpy.roots of P and Q in (0, pi)."""
+    a_ext = np.concatenate([[1.0], -coeffs, [0.0]])
+    angles = np.angle(np.concatenate([np.roots(a_ext + a_ext[::-1]),
+                                      np.roots(a_ext - a_ext[::-1])]))
+    return np.sort(angles[(angles > 1e-9) & (angles < np.pi - 1e-9)])
+
+
+def _noise_track(seed, frames=40, order=24):
+    rng = np.random.default_rng(seed)
+    return np.stack([analyze_frame(rng.standard_normal(400), order).coefficients
+                     for _ in range(frames)])
+
+
+def test_track_matches_single_frames_and_numpy_roots():
+    rng = np.random.default_rng(47)
+    lattice = np.stack([_random_lsf(rng, 24) for _ in range(20)])
+    track = np.concatenate([_noise_track(48), lsf_to_lpc(lattice)])
+    lsf = lpc_to_lsf(track)
+    assert lsf.shape == track.shape
+    for row, coeffs in zip(lsf, track):
+        # a track row is the one-frame result bit for bit
+        np.testing.assert_array_equal(
+            row, lpc_to_lsf(LpcFrame(coefficients=coeffs, gain=1.0)))
+        assert np.max(np.abs(row - _roots_lsf(coeffs))) <= 1e-12
+
+
+def _per_frame_lsf(coeffs):
+    """The one-frame-at-a-time grid scan and bisection that the track code
+    replaced, kept as the reference it must match bit for bit."""
+    p = len(coeffs)
+    m = p // 2
+    k = np.arange(m + 1)
+    omega = np.linspace(0.0, np.pi, GRID_SIZE + 1)
+    a_ext = np.concatenate([[1.0], -coeffs, [0.0]])
+    roots = []
+    for sym, sign in ((a_ext + a_ext[::-1], -1.0), (a_ext - a_ext[::-1], 1.0)):
+        deflated = np.empty(p + 1)
+        deflated[0] = sym[0]
+        for i in range(1, p + 1):
+            deflated[i] = sym[i] + sign * deflated[i - 1]
+        g = np.concatenate([[deflated[m]], 2.0 * deflated[m - 1::-1]])
+        values = g @ np.cos(np.outer(k, omega))
+        hits = np.flatnonzero(values[:-1] * values[1:] < 0)
+        assert len(hits) == m
+        lo, hi, vlo = omega[hits], omega[hits + 1], values[hits]
+        while np.max(hi - lo) > 1e-13:
+            mid = 0.5 * (lo + hi)
+            vmid = g @ np.cos(np.outer(k, mid))
+            take_lo = np.sign(vmid) == np.sign(vlo)
+            lo = np.where(take_lo, mid, lo)
+            vlo = np.where(take_lo, vmid, vlo)
+            hi = np.where(take_lo, hi, mid)
+        roots.append(0.5 * (lo + hi))
+    return np.sort(np.concatenate(roots))
+
+
+def test_track_matches_per_frame_reference_bit_for_bit():
+    src, _ = utterance_pair_specs("M1", "F2", 0.3, 11025, pair_seed=52)
+    speech = frame_signal(preemphasize(synthesize_utterance(src, 0.3, 11025)))
+    track = np.concatenate([
+        np.stack([analyze_frame(f, 24).coefficients for f in speech.frames]),
+        _noise_track(53)])
+    np.testing.assert_array_equal(
+        lpc_to_lsf(track), np.stack([_per_frame_lsf(c) for c in track]))
+
+
+def test_track_marks_only_the_failed_frame():
+    track = _noise_track(49, frames=20)
+    track[7] = 0.0
+    track[7, 1] = 1.1  # poles at +-sqrt(1.1), outside the unit circle
+    lsf = lpc_to_lsf(track)
+    failed = np.isnan(lsf)
+    assert np.all(failed[7])
+    assert not np.any(np.delete(failed, 7, axis=0))
+    np.testing.assert_array_equal(np.delete(lsf, 7, axis=0),
+                                  lpc_to_lsf(np.delete(track, 7, axis=0)))
+
+
+def test_track_conversion_is_repeatable():
+    track = _noise_track(50)
+    first = lpc_to_lsf(track)
+    assert first.tobytes() == lpc_to_lsf(track).tobytes()
+    assert lsf_to_lpc(first).tobytes() == lsf_to_lpc(first).tobytes()
+
+
+def test_empty_track():
+    assert lpc_to_lsf(np.zeros((0, 24))).shape == (0, 24)
+    assert lsf_to_lpc(np.zeros((0, 24))).shape == (0, 24)
+
+
+def test_track_back_conversion_matches_single_vectors():
+    rng = np.random.default_rng(51)
+    lattice = np.stack([_random_lsf(rng, 16) for _ in range(30)])
+    coeffs = lsf_to_lpc(lattice)
+    for row, vector in zip(coeffs, lattice):
+        np.testing.assert_array_equal(row, lsf_to_lpc(vector).coefficients)
+
+
+def test_invalid_row_in_track_rejected():
+    lattice = np.tile(np.arange(1, 9) * np.pi / 9, (3, 1))
+    lattice[1, [2, 3]] = lattice[1, [3, 2]]
+    with pytest.raises(ValueError, match="vector 1"):
+        lsf_to_lpc(lattice)
+
+
+def test_root_on_a_grid_point_is_kept():
+    # G(w) = -c + cos(w) with c = cos(pi/2) as the grid rounds it vanishes
+    # exactly at grid point GRID_SIZE/2, where no sign change brackets it
+    omega = np.linspace(0.0, np.pi, GRID_SIZE + 1)
+    c = np.cos(omega[GRID_SIZE // 2])
+    g = np.array([[-c, 1.0], [0.3, 1.0]])
+    angles, ok = _cosine_roots(g, 1)
+    assert ok.all()
+    assert angles[0, 0] == omega[GRID_SIZE // 2]
+    assert angles[1, 0] == pytest.approx(np.arccos(-0.3), abs=1e-12)

@@ -257,3 +257,15 @@ def test_hop_segments_align_with_frames():
     segs = hop_segments(w, fs.hop, len(fs))
     for i in range(len(fs)):
         np.testing.assert_array_equal(segs[i], x[i * 55:(i + 1) * 55])
+
+
+def test_hop_segments_match_naive_loop():
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal(613)
+    for hop, count in [(55, 12), (55, 11), (55, 3), (1, 613), (700, 2), (55, 0)]:
+        expected = np.zeros((count, hop))
+        for i in range(count):
+            seg = x[i * hop:(i + 1) * hop]
+            expected[i, :len(seg)] = seg
+        np.testing.assert_array_equal(hop_segments(Waveform(x, 8000), hop, count),
+                                      expected)
