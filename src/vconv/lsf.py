@@ -28,18 +28,9 @@ from .lpc import LpcFrame
 MIN_GAP = 1e-4  # smallest admissible spacing between adjacent frequencies
 GRID_SIZE = 4096  # uniform subintervals of (0, pi) scanned for sign changes
 _BISECT_TOL = 1e-13  # interval width at which bisection stops
-# frames whose grid values are held at once, so the working set is bounded
-# whatever the track length; a 120-frame track in one block costs about
-# 16 MB more peak memory and runs no faster
+# frames converted at once, so the working set stays bounded whatever the
+# track length; 120 frames at once cost about 16 MB more peak memory
 _BLOCK_FRAMES = 8
-
-# why a frame has no LSF vector, indexed by failure code (0: it has one),
-# in the order the checks run
-_FAILURES = (None,
-             "wrong number of unit-circle roots (filter unstable or roots "
-             "closer than the grid)",
-             "sum/difference root angles do not interleave",
-             "computed angles are not strictly ascending in (0, pi)")
 
 
 class LsfConversionError(ValueError):
@@ -100,71 +91,56 @@ def _cosine_roots(g: np.ndarray, expected: int):
     # value that close to zero is evaluated again as a lone row, so its sign,
     # and with it every root, is bit-identical to a one-frame call.
     noise = 2 * g.shape[1] * np.finfo(np.float64).eps * np.abs(g).sum(axis=1)
-    ok = np.empty(len(g), dtype=bool)
-    brackets = [(np.empty(0, int), np.empty(0, int), np.empty(0))]
-    exact_roots = [(np.empty(0, int), np.empty(0))]
-    for start in range(0, len(g), 2 * _BLOCK_FRAMES):
-        values = g[start:start + 2 * _BLOCK_FRAMES] @ table
-        near_zero = np.abs(values) <= noise[start:start + len(values), None]
-        for i in np.flatnonzero(near_zero.any(axis=1)):
-            values[i] = g[start + i] @ table
-        change = values[:, :-1] * values[:, 1:] < 0.0
-        exact = values[:, 1:-1] == 0.0  # grid point is a root
-        block_ok = change.sum(axis=1) + exact.sum(axis=1) == expected
-        ok[start:start + len(values)] = block_ok
-        r, c = np.nonzero(change & block_ok[:, None])
-        brackets.append((r + start, c, values[r, c]))
-        r, c = np.nonzero(exact & block_ok[:, None])
-        exact_roots.append((r + start, omega[c + 1]))
-    rows, cols, vlo = (np.concatenate(x) for x in zip(*brackets))
+    values = g @ table
+    for i in np.flatnonzero((np.abs(values) <= noise[:, None]).any(axis=1)):
+        values[i] = g[i] @ table
+    change = values[:, :-1] * values[:, 1:] < 0.0
+    exact = values[:, 1:-1] == 0.0  # grid point is a root
+    ok = change.sum(axis=1) + exact.sum(axis=1) == expected
 
     # bisect every bracket of every row together
+    rows, cols = np.nonzero(change & ok[:, None])
     weights = g[rows]
-    segment = np.searchsorted(rows, np.arange(len(g) + 1))  # row r's brackets
     k = np.arange(g.shape[1])
     lo = omega[cols]
     hi = omega[cols + 1]
+    vlo = values[rows, cols]
+    bracket_noise = noise[rows]
     while np.max(hi - lo, initial=0.0) > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         vmid = np.einsum("ij,ij->i", weights, np.cos(np.multiply.outer(mid, k)))
-        for r in np.unique(rows[np.abs(vmid) <= noise[rows]]):
-            seg = slice(segment[r], segment[r + 1])
-            vmid[seg] = g[r] @ np.cos(np.multiply.outer(k, mid[seg]))
+        for r in set(rows[np.abs(vmid) <= bracket_noise].tolist()):
+            own = rows == r
+            vmid[own] = g[r] @ np.cos(np.multiply.outer(k, mid[own]))
         take_lo = np.sign(vmid) == np.sign(vlo)
         lo = np.where(take_lo, mid, lo)
         vlo = np.where(take_lo, vmid, vlo)
         hi = np.where(take_lo, hi, mid)
 
     # each good row holds exactly `expected` roots; sort them within rows
-    exact_rows, exact_angles = (np.concatenate(x) for x in zip(*exact_roots))
+    exact_rows, exact_cols = np.nonzero(exact & ok[:, None])
     root_rows = np.concatenate([rows, exact_rows])
-    roots = np.concatenate([0.5 * (lo + hi), exact_angles])
+    roots = np.concatenate([0.5 * (lo + hi), omega[exact_cols + 1]])
     order = np.lexsort((roots, root_rows))
     angles = np.full((len(g), expected), np.nan)
     angles[ok] = roots[order].reshape(-1, expected)
     return angles, ok
 
 
-def _track_to_lsf(coeffs: np.ndarray):
-    """LSF rows of a (frames, order) coefficient array.
-
-    Returns (lsf, failure): a frame that fails a check is a NaN row of
-    `lsf`, and `failure` holds the first check it failed (0 if none).
-    """
+def _block_to_lsf(coeffs: np.ndarray) -> np.ndarray:
+    """LSF rows of a few frames; a frame that fails a check is a NaN row."""
     half = coeffs.shape[1] // 2
     angles, ok = _cosine_roots(_cosine_forms(coeffs), half)
     omegas_p, omegas_q = angles[0::2], angles[1::2]
-    counted = ok[0::2] & ok[1::2]
-    interleaved = (np.all(omegas_p < omegas_q, axis=1)
-                   & np.all(omegas_q[:, :-1] < omegas_p[:, 1:], axis=1))
     lsf = np.empty(coeffs.shape)
     lsf[:, 0::2] = omegas_p
     lsf[:, 1::2] = omegas_q
-    failure = np.select(
-        [~counted, ~interleaved, ~_ascending_rows(lsf)],
-        [1, 2, 3], default=0)
-    lsf[failure != 0] = np.nan
-    return lsf, failure
+    valid = (ok[0::2] & ok[1::2]
+             & np.all(omegas_p < omegas_q, axis=1)  # P and Q roots interleave
+             & np.all(omegas_q[:, :-1] < omegas_p[:, 1:], axis=1)
+             & _ascending_rows(lsf))
+    lsf[~valid] = np.nan
+    return lsf
 
 
 def lpc_to_lsf(lpc):
@@ -181,11 +157,16 @@ def lpc_to_lsf(lpc):
     if coeffs.ndim != 2:
         raise ValueError(f"expected a (frames, order) array, got shape {coeffs.shape}")
     _check_order(coeffs.shape[1])
-    lsf, failure = _track_to_lsf(coeffs)
+    lsf = np.empty(coeffs.shape)
+    for start in range(0, len(coeffs), _BLOCK_FRAMES):
+        block = slice(start, start + _BLOCK_FRAMES)
+        lsf[block] = _block_to_lsf(coeffs[block])
     if not single:
         return lsf
-    if failure[0]:
-        raise LsfConversionError(_FAILURES[failure[0]])
+    if np.isnan(lsf[0, 0]):
+        raise LsfConversionError(
+            "no valid LSF vector: the filter is unstable, two roots are "
+            "closer than the grid, or the root angles do not interleave")
     return lsf[0]
 
 

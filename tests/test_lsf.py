@@ -1,5 +1,7 @@
 """LPC <-> LSF conversion, validation and rectification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -274,17 +276,54 @@ def test_track_conversion_is_repeatable():
     assert lsf_to_lpc(first).tobytes() == lsf_to_lpc(first).tobytes()
 
 
+def _conversion_peak_bytes(track):
+    tracemalloc.start()
+    try:
+        lpc_to_lsf(track)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_track_working_set_is_bounded():
+    rng = np.random.default_rng(54)
+    track = lsf_to_lpc(np.stack([_random_lsf(rng, 24) for _ in range(512)]))
+    lpc_to_lsf(track[:16])  # build the cached grid table first
+    short = _conversion_peak_bytes(track[:16])
+    # beyond the first block, a longer track only adds its output rows
+    assert _conversion_peak_bytes(track) - short < 2 * track.nbytes
+
+
 def test_empty_track():
     assert lpc_to_lsf(np.zeros((0, 24))).shape == (0, 24)
     assert lsf_to_lpc(np.zeros((0, 24))).shape == (0, 24)
 
 
-def test_track_back_conversion_matches_single_vectors():
+def _convolve_lsf_to_lpc(omegas):
+    """The one-vector polynomial expansion by np.convolve that the track
+    code replaced, kept as the reference it must match bit for bit."""
+    def expand(angles, trivial):
+        poly = np.array(trivial, dtype=np.float64)
+        for w in angles:
+            poly = np.convolve(poly, [1.0, -2.0 * np.cos(w), 1.0])
+        return poly
+
+    a_full = 0.5 * (expand(omegas[0::2], [1.0, 1.0])
+                    + expand(omegas[1::2], [1.0, -1.0]))
+    return -a_full[1:len(omegas) + 1]
+
+
+def test_track_back_conversion_matches_convolve_reference():
     rng = np.random.default_rng(51)
-    lattice = np.stack([_random_lsf(rng, 16) for _ in range(30)])
-    coeffs = lsf_to_lpc(lattice)
-    for row, vector in zip(coeffs, lattice):
-        np.testing.assert_array_equal(row, lsf_to_lpc(vector).coefficients)
+    for order in (2, 16, 24):
+        lattice = np.stack([_random_lsf(rng, order) for _ in range(200)]
+                           + [_crowded_lsf(rng, order) for _ in range(200)])
+        coeffs = lsf_to_lpc(lattice)
+        for row, vector in zip(coeffs, lattice):
+            reference = _convolve_lsf_to_lpc(vector)
+            np.testing.assert_array_equal(row, reference)
+            np.testing.assert_array_equal(lsf_to_lpc(vector).coefficients,
+                                          reference)
 
 
 def test_invalid_row_in_track_rejected():
