@@ -39,11 +39,16 @@ def dtw_align(seq_a, seq_b) -> DtwAlignment:
     # edge cells accumulate in path order so costs match a step-by-step sum
     acc[0, :] = np.cumsum(local[0, :])
     acc[:, 0] = np.cumsum(local[:, 0])
-    for i in range(1, n):
-        row = acc[i]
-        prev = acc[i - 1]
-        for j in range(1, m):
-            row[j] = local[i, j] + min(prev[j - 1], prev[j], row[j - 1])
+    # inner cells fill one anti-diagonal i + j = d at a time; in the flat
+    # arrays a diagonal and its three predecessors are slices of step m - 1
+    flat, cost = acc.reshape(-1), local.reshape(-1)
+    for d in range(2, n + m - 1) if n > 1 and m > 1 else ():
+        first = d + max(1, d - m + 1) * (m - 1)
+        last = d + min(n - 1, d - 1) * (m - 1)
+        cells = slice(first, last + 1, m - 1)
+        best = np.minimum(flat[first - m - 1:last - m:m - 1],
+                          flat[first - m:last - m + 1:m - 1])
+        flat[cells] = cost[cells] + np.minimum(best, flat[first - 1:last:m - 1])
 
     path = [(n - 1, m - 1)]
     i, j = n - 1, m - 1

@@ -22,7 +22,7 @@ import numpy as np
 from .align import dtw_align, pair_frames
 from .eval import ConversionReport, conversion_report
 from .lpc import (FilterUnstableError, LpcFrame, RootConvergenceError,
-                  analyze_frame, inverse_filter, lpc_poles, stable_rows,
+                  analyze_track, inverse_filter, lpc_poles, stable_rows,
                   synthesis_filter)
 from .lsf import lpc_to_lsf, lsf_to_lpc, rectify_lsf, validate_lsf
 from .mlp import MlpModel, TrainConfig, forward, init_mlp, load_model, save_model, train
@@ -54,6 +54,7 @@ class FeatureTrack:
     alpha: float
     sigma: float
     fallbacks: int = 0  # frames that reused the previous frame's LSF
+    degenerate: int = 0  # frames whose Levinson-Durbin recursion stopped early
 
     def __len__(self):
         return len(self.gains)
@@ -116,9 +117,9 @@ def analyze_waveform(wave: Waveform, order: int = 24, frame_ms: float = 25.0,
     frames = frame_signal(pre, frame_ms, hop_ms, sigma)
     segments = hop_segments(pre, frames.hop, len(frames))
 
-    lpc_frames = [analyze_frame(frame, order) for frame in frames.frames]
-    gains = np.array([f.gain for f in lpc_frames])
-    lsf_rows = lpc_to_lsf(np.stack([f.coefficients for f in lpc_frames]))
+    lpc = analyze_track(frames.frames, order)
+    gains = lpc.gains
+    lsf_rows = lpc_to_lsf(lpc.coefficients)
     failed = np.flatnonzero(np.isnan(lsf_rows[:, 0]))
     for i in failed:  # ascending, so row i - 1 is already filled
         lsf_rows[i] = lsf_rows[i - 1] if i else uniform_lsf(order)
@@ -131,7 +132,8 @@ def analyze_waveform(wave: Waveform, order: int = 24, frame_ms: float = 25.0,
 
     feats = FeatureTrack(lsf=lsf_rows, gains=gains, sample_rate=wave.sample_rate,
                          frame_ms=frame_ms, hop_ms=hop_ms, order=order,
-                         alpha=alpha, sigma=sigma, fallbacks=len(failed))
+                         alpha=alpha, sigma=sigma, fallbacks=len(failed),
+                         degenerate=int(np.count_nonzero(lpc.degenerate)))
     resid = ResidualTrack(segments=residuals, initial_state=initial_state,
                           sample_rate=wave.sample_rate, alpha=alpha)
     return feats, resid
@@ -231,7 +233,8 @@ def write_features(feats: FeatureTrack, path) -> None:
              f"# order={feats.order}",
              f"# alpha={_g(feats.alpha)}",
              f"# sigma={_g(feats.sigma)}",
-             f"# fallbacks={feats.fallbacks}"]
+             f"# fallbacks={feats.fallbacks}",
+             f"# degenerate={feats.degenerate}"]
     for i in range(len(feats)):
         row = np.concatenate([[feats.gains[i]], feats.lsf[i]])
         lines.append(",".join(_g(v) for v in row))
@@ -301,6 +304,8 @@ def read_features(path) -> FeatureTrack:
         sigma=_meta_value(meta, "sigma", float, path),
         fallbacks=(_meta_value(meta, "fallbacks", int, path)
                    if "fallbacks" in meta else 0),
+        degenerate=(_meta_value(meta, "degenerate", int, path)
+                    if "degenerate" in meta else 0),
     )
 
 
@@ -421,7 +426,7 @@ def cmd_train(args) -> int:
 
     model = init_mlp(sizes, args.seed)
     config = TrainConfig(learning_rate=args.lr, momentum=args.momentum,
-                         max_epochs=args.epochs, seed=args.seed)
+                         max_epochs=args.epochs)
     trained, report = train(model, pairs, config)
     save_model(trained, args.model_out)
     mse_out = args.mse_out or str(args.model_out) + ".mse.csv"
@@ -471,8 +476,8 @@ def cmd_poles(args) -> int:
     if str(args.input).lower().endswith(".wav"):
         pre = preemphasize(read_wav(args.input), args.alpha)
         frames = frame_signal(pre, args.frame_ms, args.hop_ms, args.sigma)
-        lpc_frames = [analyze_frame(frames.frames[i], args.order)
-                      for i in range(len(frames))]
+        lpc = analyze_track(frames.frames, args.order)
+        lpc_frames = _lpc_frames(lpc.coefficients, lpc.gains)
     else:
         feats = read_features(args.input)
         lpc_frames = _lpc_frames(lsf_to_lpc(feats.lsf), feats.gains)

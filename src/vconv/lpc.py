@@ -58,51 +58,92 @@ class LpcFrame:
         return len(self.coefficients)
 
 
+@dataclass
+class LpcTrack:
+    """The order-p predictors of a track, one row per frame, with the
+    gains and degenerate flags that LpcFrame holds for one frame."""
+
+    coefficients: np.ndarray  # (frames, order)
+    gains: np.ndarray  # (frames,)
+    degenerate: np.ndarray  # (frames,) bool
+
+
 def autocorrelate(frame: np.ndarray, max_lag: int) -> np.ndarray:
     """Biased autocorrelation r[tau] = (1/N) sum_t x[t] x[t+tau], tau = 0..max_lag.
 
     The 1/N normalization makes the Toeplitz system positive semidefinite,
-    which keeps the resulting predictor minimum phase.
+    which keeps the resulting predictor minimum phase.  A (frames, N)
+    array gives one row of lags per frame.
     """
-    x = np.asarray(frame, dtype=np.float64)
-    n = len(x)
+    x = np.ascontiguousarray(frame, dtype=np.float64)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"expected a frame or a (frames, length) array, got shape {x.shape}")
+    rows = np.atleast_2d(x)
+    n = rows.shape[1]
     if not 0 <= max_lag < n:
         raise ValueError(f"max_lag {max_lag} out of range for frame of {n} samples")
-    full = np.correlate(x, x, mode="full")
-    return full[n - 1:n + max_lag] / n
+    # each lag is one dot product per row: the ddot that np.correlate makes
+    lags = np.empty((len(rows), max_lag + 1))
+    for tau in range(max_lag + 1):
+        lags[:, tau] = np.matmul(rows[:, None, tau:], rows[:, :n - tau, None])[:, 0, 0]
+    lags /= n
+    return lags if x.ndim == 2 else lags[0]
 
 
-def levinson_durbin(r: np.ndarray, order: int) -> LpcFrame:
+def levinson_durbin(r: np.ndarray, order: int):
     """Solve the Toeplitz normal equations by the Levinson-Durbin recursion.
 
-    Returns zero coefficients and zero gain for (near-)silent input
-    (r[0] <= SILENCE_FLOOR).  If a reflection coefficient reaches magnitude
-    1 the recursion stops and the frame is flagged degenerate.
+    `r` is one autocorrelation vector, giving an LpcFrame, or a (frames,
+    lags) array, giving an LpcTrack.  A (near-)silent frame (r[0] <=
+    SILENCE_FLOOR) gets zero coefficients and zero gain.  If a reflection
+    coefficient reaches magnitude 1 that frame's recursion stops and the
+    frame is flagged degenerate.
     """
-    r = np.asarray(r, dtype=np.float64)
-    if len(r) < order + 1:
-        raise ValueError(f"need {order + 1} autocorrelation lags, got {len(r)}")
-    a = np.zeros(order)
-    if r[0] <= SILENCE_FLOOR:
-        return LpcFrame(coefficients=a, gain=0.0)
+    lags = np.asarray(r, dtype=np.float64)
+    rows = lags.reshape(1, -1) if lags.ndim == 1 else lags
+    if rows.ndim != 2 or rows.shape[1] < order + 1:
+        raise ValueError(f"need {order + 1} autocorrelation lags, got shape {lags.shape}")
+    coeffs = np.zeros((len(rows), order))
+    gains = np.zeros(len(rows))
+    degenerate = np.zeros(len(rows), dtype=bool)
 
-    energy = r[0]
+    live = np.flatnonzero(~(rows[:, 0] <= SILENCE_FLOOR))
+    rr = rows[live]
+    a = np.zeros((len(live), order))
+    energy = rr[:, 0].copy()
     for i in range(1, order + 1):
-        acc = np.dot(a[:i - 1], r[i - 1:0:-1])
-        k = (r[i] - acc) / energy
-        if abs(k) >= 1.0:
-            a[i - 1:] = 0.0
-            return LpcFrame(coefficients=a, gain=float(np.sqrt(energy)),
-                            degenerate=True)
-        a[:i - 1] = a[:i - 1] - k * a[:i - 1][::-1]
-        a[i - 1] = k
+        # a contiguous copy makes the dot product the ddot of a lone frame
+        rev = np.ascontiguousarray(rr[:, i - 1:0:-1])
+        acc = np.matmul(a[:, None, :i - 1], rev[:, :, None])[:, 0, 0]
+        k = (rr[:, i] - acc) / energy
+        stop = np.abs(k) >= 1.0
+        if stop.any():  # freeze these rows; coefficients from i on stay 0
+            coeffs[live[stop]] = a[stop]
+            gains[live[stop]] = np.sqrt(energy[stop])
+            degenerate[live[stop]] = True
+            go = ~stop
+            live, rr, a, energy, k = live[go], rr[go], a[go], energy[go], k[go]
+        head = a[:, :i - 1]
+        a[:, :i - 1] = head - k[:, None] * head[:, ::-1]
+        a[:, i - 1] = k
         energy *= 1.0 - k * k
-    return LpcFrame(coefficients=a, gain=float(np.sqrt(max(energy, 0.0))))
+    coeffs[live] = a
+    gains[live] = np.sqrt(np.maximum(energy, 0.0))
+
+    if lags.ndim == 1:
+        return LpcFrame(coefficients=coeffs[0], gain=float(gains[0]),
+                        degenerate=bool(degenerate[0]))
+    return LpcTrack(coefficients=coeffs, gains=gains, degenerate=degenerate)
 
 
 def analyze_frame(frame: np.ndarray, order: int) -> LpcFrame:
     """Autocorrelation analysis of one (windowed) frame at the given order."""
     return levinson_durbin(autocorrelate(frame, order), order)
+
+
+def analyze_track(frames: np.ndarray, order: int) -> LpcTrack:
+    """Autocorrelation analysis of every row of a (frames, length) array."""
+    return levinson_durbin(autocorrelate(np.atleast_2d(frames), order), order)
 
 
 def inverse_filter(segment, lpc: LpcFrame, state):

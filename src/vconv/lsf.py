@@ -28,9 +28,11 @@ from .lpc import LpcFrame
 MIN_GAP = 1e-4  # smallest admissible spacing between adjacent frequencies
 GRID_SIZE = 4096  # uniform subintervals of (0, pi) scanned for sign changes
 _BISECT_TOL = 1e-13  # interval width at which bisection stops
-# frames converted at once, so the working set stays bounded whatever the
-# track length; 120 frames at once cost about 16 MB more peak memory
-_BLOCK_FRAMES = 8
+# The working set stays bounded whatever the track length: frames are
+# bisected 64 at a time, and their cosine forms scanned 16 rows at a time
+# (each row's grid values take 32 KB)
+_BLOCK_FRAMES = 64
+_SCAN_ROWS = 16
 
 
 class LsfConversionError(ValueError):
@@ -83,52 +85,48 @@ def _cosine_roots(g: np.ndarray, expected: int):
     """Ascending angles in (0, pi) where each row's cosine form crosses zero.
 
     Returns (angles, ok): rows of `angles` whose root count is not
-    `expected` are NaN and false in `ok`.
+    `expected` are NaN and false in `ok`.  Every value is one row's own
+    matrix-vector product, stacked, so a row gets the same roots, bit for
+    bit, whatever rows share its call.
     """
     omega, table = _grid(g.shape[1])
-    # Batched sums add a form's terms in another order than a lone row's
-    # matrix-vector product; each errs by at most terms * eps * sum|g|.  A
-    # value that close to zero is evaluated again as a lone row, so its sign,
-    # and with it every root, is bit-identical to a one-frame call.
-    noise = 2 * g.shape[1] * np.finfo(np.float64).eps * np.abs(g).sum(axis=1)
-    values = g @ table
-    for i in np.flatnonzero((np.abs(values) <= noise[:, None]).any(axis=1)):
-        values[i] = g[i] @ table
-    change = values[:, :-1] * values[:, 1:] < 0.0
-    exact = values[:, 1:-1] == 0.0  # grid point is a root
-    ok = change.sum(axis=1) + exact.sum(axis=1) == expected
+    ok = np.empty(len(g), dtype=bool)
+    lo, hi, vlo = [], [], []
+    for start in range(0, len(g), _SCAN_ROWS):
+        rows = slice(start, start + _SCAN_ROWS)
+        values = np.matmul(g[rows, None, :], table)[:, 0]
+        change = values[:, :-1] * values[:, 1:] < 0.0
+        exact = values[:, 1:-1] == 0.0  # grid point is a root
+        ok[rows] = change.sum(axis=1) + exact.sum(axis=1) == expected
+        # a root on grid point j is the empty bracket [omega[j], omega[j]],
+        # which keeps each row's brackets in ascending order
+        change[:, 1:] |= exact
+        r, c = np.nonzero(change & ok[rows, None])
+        lo.append(omega[c])
+        vlo.append(values[r, c])
+        hi.append(omega[c + (vlo[-1] != 0.0)])
+    lo, hi, vlo = (np.concatenate(v).reshape(-1, expected) for v in (lo, hi, vlo))
 
-    # bisect every bracket of every row together
-    rows, cols = np.nonzero(change & ok[:, None])
-    weights = g[rows]
+    weights = g[ok, None, :]
     k = np.arange(g.shape[1])
-    lo = omega[cols]
-    hi = omega[cols + 1]
-    vlo = values[rows, cols]
-    bracket_noise = noise[rows]
+    cosines = np.empty((len(lo), len(k), expected))
+    cosines[:, 0] = 1.0  # cos(0 * w)
     while np.max(hi - lo, initial=0.0) > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        vmid = np.einsum("ij,ij->i", weights, np.cos(np.multiply.outer(mid, k)))
-        for r in set(rows[np.abs(vmid) <= bracket_noise].tolist()):
-            own = rows == r
-            vmid[own] = g[r] @ np.cos(np.multiply.outer(k, mid[own]))
+        cosines[:, 1:] = np.cos(k[1:, None] * mid[:, None, :])
+        vmid = np.matmul(weights, cosines)[:, 0]
         take_lo = np.sign(vmid) == np.sign(vlo)
         lo = np.where(take_lo, mid, lo)
         vlo = np.where(take_lo, vmid, vlo)
         hi = np.where(take_lo, hi, mid)
 
-    # each good row holds exactly `expected` roots; sort them within rows
-    exact_rows, exact_cols = np.nonzero(exact & ok[:, None])
-    root_rows = np.concatenate([rows, exact_rows])
-    roots = np.concatenate([0.5 * (lo + hi), omega[exact_cols + 1]])
-    order = np.lexsort((roots, root_rows))
     angles = np.full((len(g), expected), np.nan)
-    angles[ok] = roots[order].reshape(-1, expected)
+    angles[ok] = 0.5 * (lo + hi)
     return angles, ok
 
 
 def _block_to_lsf(coeffs: np.ndarray) -> np.ndarray:
-    """LSF rows of a few frames; a frame that fails a check is a NaN row."""
+    """LSF rows of a block of frames; a frame that fails a check is a NaN row."""
     half = coeffs.shape[1] // 2
     angles, ok = _cosine_roots(_cosine_forms(coeffs), half)
     omegas_p, omegas_q = angles[0::2], angles[1::2]

@@ -51,7 +51,6 @@ class TrainConfig:
     momentum: float = 0.9
     max_epochs: int = 5000
     convergence_delta: float = 1e-8
-    seed: int = 42
 
     def __post_init__(self):
         if self.learning_rate <= 0:

@@ -142,3 +142,52 @@ def test_stale_alignment_is_an_index_error():
     alignment = DtwAlignment(path=[(0, 0), (5, 5)], total_cost=0.0)
     with pytest.raises(IndexError):
         pair_frames(alignment, np.zeros((2, 1)), np.zeros((2, 1)))
+
+
+def _double_loop_dtw(a, b):
+    """The cell-by-cell fill and backtrace that the anti-diagonal fill
+    replaced, kept as the reference it must match exactly."""
+    local = cdist(a, b)
+    n, m = local.shape
+    acc = np.empty((n, m))
+    acc[0, :] = np.cumsum(local[0, :])
+    acc[:, 0] = np.cumsum(local[:, 0])
+    for i in range(1, n):
+        for j in range(1, m):
+            acc[i, j] = local[i, j] + min(acc[i - 1, j - 1], acc[i - 1, j],
+                                          acc[i, j - 1])
+    path = [(n - 1, m - 1)]
+    i, j = n - 1, m - 1
+    while i > 0 or j > 0:
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            best = min(acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
+            if acc[i - 1, j - 1] == best:
+                i, j = i - 1, j - 1
+            elif acc[i - 1, j] == best:
+                i -= 1
+            else:
+                j -= 1
+        path.append((i, j))
+    return path[::-1], float(acc[n - 1, m - 1])
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_anti_diagonal_fill_matches_double_loop(ties):
+    rng = np.random.default_rng(11 + ties)
+    shapes = [(1, 1), (1, 9), (9, 1), (2, 2), (2, 17), (17, 2), (40, 38),
+              (120, 118)] + [tuple(rng.integers(1, 30, 2)) for _ in range(40)]
+    for n, m in shapes:
+        if ties:  # small integer vectors: many equal distances and costs
+            a = rng.integers(0, 3, (n, 2)).astype(float)
+            b = rng.integers(0, 3, (m, 2)).astype(float)
+        else:
+            a = rng.standard_normal((n, 3))
+            b = rng.standard_normal((m, 3))
+        alignment = dtw_align(a, b)
+        path, cost = _double_loop_dtw(a, b)
+        assert alignment.path == path
+        assert alignment.total_cost == cost

@@ -178,23 +178,53 @@ def test_read_features_rejects_bad_fallbacks_header(tmp_path, utterance):
         read_features(path)
 
 
+def test_feature_file_counts_degenerate_frames(monkeypatch, tmp_path, utterance):
+    real = vconv.cli.analyze_track
+
+    def analyze_with_degenerate(frames, order):
+        lpc = real(frames, order)
+        lpc.degenerate[[2, 7]] = True
+        return lpc
+
+    clean, _ = analyze_waveform(utterance)
+    assert clean.degenerate == 0
+    monkeypatch.setattr(vconv.cli, "analyze_track", analyze_with_degenerate)
+    feats, _ = analyze_waveform(utterance)
+    assert feats.degenerate == 2
+    path = tmp_path / "u.feat.csv"
+    write_features(feats, path)
+    text = path.read_text()
+    assert "# degenerate=2\n" in text
+    assert read_features(path).degenerate == 2
+    # files written before the header existed read as 0
+    path.write_text(text.replace("# degenerate=2\n", "", 1))
+    assert read_features(path).degenerate == 0
+
+
+def test_read_features_rejects_bad_degenerate_header(tmp_path, utterance):
+    feats, _ = analyze_waveform(utterance)
+    path = tmp_path / "u.feat.csv"
+    write_features(feats, path)
+    path.write_text(path.read_text().replace("# degenerate=0", "# degenerate=1.5", 1))
+    with pytest.raises(FeatureFormatError):
+        read_features(path)
+
+
 @pytest.mark.parametrize("bad", [0, 5])
 def test_analyze_falls_back_on_failed_frame(monkeypatch, utterance, bad):
     """A frame without an LSF vector reuses the previous frame's vector (the
     uniform vector for frame 0) and is counted; other frames are untouched."""
     clean, clean_resid = analyze_waveform(utterance)
-    calls = []
-    real = vconv.cli.analyze_frame
+    real = vconv.cli.analyze_track
 
-    def analyze_with_one_unstable(frame, order):
-        calls.append(None)
-        if len(calls) - 1 != bad:
-            return real(frame, order)
-        coeffs = np.zeros(order)
-        coeffs[1] = 1.1  # poles at +-sqrt(1.1), outside the unit circle
-        return LpcFrame(coefficients=coeffs, gain=0.5)
+    def analyze_with_one_unstable(frames, order):
+        lpc = real(frames, order)
+        lpc.coefficients[bad] = 0.0
+        lpc.coefficients[bad, 1] = 1.1  # poles at +-sqrt(1.1), outside the unit circle
+        lpc.gains[bad] = 0.5
+        return lpc
 
-    monkeypatch.setattr(vconv.cli, "analyze_frame", analyze_with_one_unstable)
+    monkeypatch.setattr(vconv.cli, "analyze_track", analyze_with_one_unstable)
     feats, resid = analyze_waveform(utterance)
     assert feats.fallbacks == 1
     expected = clean.lsf[bad - 1] if bad else uniform_lsf(24)

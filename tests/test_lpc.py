@@ -11,6 +11,7 @@ from vconv.lpc import (
     LpcFrame,
     RootConvergenceError,
     analyze_frame,
+    analyze_track,
     autocorrelate,
     inverse_filter,
     levinson_durbin,
@@ -18,6 +19,7 @@ from vconv.lpc import (
     stable_rows,
     synthesis_filter,
 )
+from vconv.signal_io import Waveform, frame_signal
 
 
 def _dense_solve(r, order):
@@ -313,3 +315,102 @@ def test_step_down_edge_cases():
     frames = np.stack([analyze_frame(rng.standard_normal(300), 16).coefficients
                        for _ in range(20)])
     assert stable_rows(frames).all()
+
+
+def _per_frame_autocorrelate(frame, max_lag):
+    """The np.correlate autocorrelation of one frame that the track code
+    replaced, kept as the reference it must match bit for bit."""
+    x = np.asarray(frame, dtype=np.float64)
+    n = len(x)
+    return np.correlate(x, x, mode="full")[n - 1:n + max_lag] / n
+
+
+def _per_frame_levinson(r, order):
+    """The one-frame Levinson-Durbin recursion that the track code
+    replaced: (coefficients, gain, degenerate), the reference it must match
+    bit for bit."""
+    a = np.zeros(order)
+    if r[0] <= vconv.lpc.SILENCE_FLOOR:
+        return a, 0.0, False
+    energy = r[0]
+    for i in range(1, order + 1):
+        acc = np.dot(a[:i - 1], r[i - 1:0:-1])
+        k = (r[i] - acc) / energy
+        if abs(k) >= 1.0:
+            a[i - 1:] = 0.0
+            return a, float(np.sqrt(energy)), True
+        a[:i - 1] = a[:i - 1] - k * a[:i - 1][::-1]
+        a[i - 1] = k
+        energy *= 1.0 - k * k
+    return a, float(np.sqrt(max(energy, 0.0))), False
+
+
+def _assert_track_matches_reference(lags, order):
+    track = levinson_durbin(lags, order)
+    expected = [_per_frame_levinson(r, order) for r in lags]
+    np.testing.assert_array_equal(track.coefficients,
+                                  np.stack([e[0] for e in expected]))
+    np.testing.assert_array_equal(track.gains, [e[1] for e in expected])
+    np.testing.assert_array_equal(track.degenerate, [e[2] for e in expected])
+    return track
+
+
+def _edge_frames(rate, seconds=0.1):
+    """Windowed frames of the edge inputs at one sample rate: silence, a
+    pure tone, a clipped square, white noise and an impulse train."""
+    rng = np.random.default_rng(rate)
+    t = np.arange(int(seconds * rate)) / rate
+    signals = [np.zeros_like(t),
+               0.5 * np.sin(2 * np.pi * 440.0 * t),
+               np.clip(3.0 * np.sign(np.sin(2 * np.pi * 150.0 * t)), -1.0, 1.0),
+               rng.standard_normal(len(t)),
+               (np.arange(len(t)) % (rate // 100) == 0).astype(float)]
+    return np.concatenate([frame_signal(Waveform(samples=s, sample_rate=rate)).frames
+                           for s in signals])
+
+
+@pytest.mark.parametrize("rate", [8000, 11025, 48000])
+def test_track_analysis_matches_per_frame_reference(rate):
+    frames = _edge_frames(rate)
+    for order in (2, 16, 24):
+        lags = autocorrelate(frames, order)
+        np.testing.assert_array_equal(
+            lags, np.stack([_per_frame_autocorrelate(f, order) for f in frames]))
+        track = _assert_track_matches_reference(lags, order)
+        np.testing.assert_array_equal(track.coefficients,
+                                      analyze_track(frames, order).coefficients)
+        # a lone frame is a one-row call of the same code
+        for i in (0, len(frames) // 2, len(frames) - 1):
+            single = analyze_frame(frames[i], order)
+            np.testing.assert_array_equal(single.coefficients,
+                                          track.coefficients[i])
+            assert single.gain == track.gains[i]
+            assert single.degenerate == track.degenerate[i]
+
+
+def test_track_flags_only_its_degenerate_rows():
+    rng = np.random.default_rng(15)
+    order = 16
+    lags = autocorrelate(rng.standard_normal((30, 300)), order)
+    lags[3] = 0.0
+    lags[3, :2] = [1.0, 1.5]  # |k_1| = 1.5: stops before any coefficient
+    lags[11] = 0.0
+    lags[11, :3] = [1.0, 0.5, 1.0]  # k_1 = 0.5, then k_2 = 1: keeps a_1
+    lags[20] = 0.0  # silence: zero coefficients and gain, not degenerate
+    track = _assert_track_matches_reference(lags, order)
+    assert np.flatnonzero(track.degenerate).tolist() == [3, 11]
+    assert track.coefficients[11, 0] == 0.5 and track.gains[20] == 0.0
+    # the other rows are what they are without the odd ones
+    keep = np.setdiff1d(np.arange(30), [3, 11, 20])
+    alone = levinson_durbin(lags[keep], order)
+    np.testing.assert_array_equal(alone.coefficients, track.coefficients[keep])
+    np.testing.assert_array_equal(alone.gains, track.gains[keep])
+
+
+def test_track_analysis_shapes():
+    assert autocorrelate(np.ones((3, 10)), 4).shape == (3, 5)
+    assert levinson_durbin(np.zeros((0, 5)), 4).coefficients.shape == (0, 4)
+    with pytest.raises(ValueError):
+        autocorrelate(np.ones((2, 3, 10)), 4)
+    with pytest.raises(ValueError):
+        levinson_durbin(np.ones((3, 4)), 4)
