@@ -20,10 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .align import dtw_align, pair_frames
-from .eval import ConversionReport, conversion_report
-from .lpc import (FilterUnstableError, LpcFrame, RootConvergenceError,
-                  analyze_track, inverse_filter, lpc_poles, stable_rows,
-                  synthesis_filter)
+from .eval import conversion_report
+from .lpc import (LpcFrame, RootConvergenceError, analyze_track,
+                  inverse_filter, lpc_poles, stable_rows, synthesis_filter)
 from .lsf import lpc_to_lsf, lsf_to_lpc, rectify_lsf, validate_lsf
 from .mlp import MlpModel, TrainConfig, forward, init_mlp, load_model, save_model, train
 from .signal_io import (Waveform, deemphasize, frame_signal, hop_segments,
@@ -95,11 +94,6 @@ def uniform_lsf(order: int) -> np.ndarray:
     return np.arange(1, order + 1) * np.pi / (order + 1)
 
 
-def _lpc_frames(coeffs: np.ndarray, gains) -> list:
-    """One LpcFrame per row of a (frames, order) coefficient track."""
-    return [LpcFrame(coefficients=c, gain=float(g)) for c, g in zip(coeffs, gains)]
-
-
 def analyze_waveform(wave: Waveform, order: int = 24, frame_ms: float = 25.0,
                      hop_ms: float = 5.0, alpha: float = 0.97,
                      sigma: float = 0.4):
@@ -118,19 +112,15 @@ def analyze_waveform(wave: Waveform, order: int = 24, frame_ms: float = 25.0,
     segments = hop_segments(pre, frames.hop, len(frames))
 
     lpc = analyze_track(frames.frames, order)
-    gains = lpc.gains
     lsf_rows = lpc_to_lsf(lpc.coefficients)
     failed = np.flatnonzero(np.isnan(lsf_rows[:, 0]))
     for i in failed:  # ascending, so row i - 1 is already filled
         lsf_rows[i] = lsf_rows[i - 1] if i else uniform_lsf(order)
 
-    state = np.zeros(order)
-    initial_state = state.copy()
-    residuals = np.empty((len(frames), frames.hop))
-    for i, filt in enumerate(_lpc_frames(lsf_to_lpc(lsf_rows), gains)):
-        residuals[i], state = inverse_filter(segments[i], filt, state)
+    initial_state = np.zeros(order)
+    residuals, _ = inverse_filter(segments, lsf_to_lpc(lsf_rows), initial_state)
 
-    feats = FeatureTrack(lsf=lsf_rows, gains=gains, sample_rate=wave.sample_rate,
+    feats = FeatureTrack(lsf=lsf_rows, gains=lpc.gains, sample_rate=wave.sample_rate,
                          frame_ms=frame_ms, hop_ms=hop_ms, order=order,
                          alpha=alpha, sigma=sigma, fallbacks=len(failed),
                          degenerate=int(np.count_nonzero(lpc.degenerate)))
@@ -139,23 +129,24 @@ def analyze_waveform(wave: Waveform, order: int = 24, frame_ms: float = 25.0,
     return feats, resid
 
 
-def resynthesize(feats: FeatureTrack, resid: ResidualTrack) -> Waveform:
-    """Stream the residual through the per-frame filters; output stays in
-    the pre-emphasized domain (apply deemphasize for audio)."""
-    if len(feats) != len(resid):
-        raise ValueError(f"{len(feats)} feature frames vs "
-                         f"{len(resid)} residual segments")
-    state = np.asarray(resid.initial_state, dtype=np.float64).copy()
-    pieces = []
-    for i, filt in enumerate(_lpc_frames(lsf_to_lpc(feats.lsf), feats.gains)):
-        seg, state = synthesis_filter(resid.segments[i], filt, state)
-        pieces.append(seg)
-    return Waveform(samples=np.concatenate(pieces),
-                    sample_rate=resid.sample_rate)
+def synthesize(coeffs: np.ndarray, resid: ResidualTrack):
+    """Stream the residual through one predictor per segment, a row of the
+    (frames, order) `coeffs`; returns (waveform, muted segment count).
+
+    The output stays in the pre-emphasized domain (apply deemphasize for
+    audio).  A segment whose synthesis blows up is muted and the filter
+    state reset.
+    """
+    out, _ = synthesis_filter(resid.segments, coeffs, resid.initial_state)
+    muted = np.isnan(out).any(axis=1)
+    out[muted] = 0.0
+    wave = Waveform(samples=out.ravel(), sample_rate=resid.sample_rate)
+    return wave, int(np.count_nonzero(muted))
 
 
 def map_features(model: MlpModel, feats: FeatureTrack, raw_lpc: bool = False):
-    """Map every frame through the network; returns (frames, ConvertStats).
+    """Map every frame through the network; returns the (frames, order)
+    predictor coefficients and ConvertStats.
 
     Default mode maps pi-normalized LSF and rectifies the output, so every
     produced filter is stable by construction.  raw_lpc mode maps the
@@ -170,37 +161,11 @@ def map_features(model: MlpModel, feats: FeatureTrack, raw_lpc: bool = False):
         coeffs = forward(model, lsf_to_lpc(feats.lsf))
     else:
         mapped = forward(model, feats.normalized) * np.pi
-        coeffs = lsf_to_lpc(np.stack([rectify_lsf(row) for row in mapped]))
-    frames = _lpc_frames(coeffs, feats.gains)
+        coeffs = lsf_to_lpc(rectify_lsf(mapped))
     unstable = int(np.count_nonzero(~stable_rows(coeffs)))
-    stats = ConvertStats(total_frames=len(frames), unstable_frames=unstable,
+    stats = ConvertStats(total_frames=len(coeffs), unstable_frames=unstable,
                          overflow_frames=0, fallback_frames=feats.fallbacks)
-    return frames, stats
-
-
-def synthesize_frames(frames, resid: ResidualTrack):
-    """Stream residual segments through mapped filters.
-
-    A segment whose synthesis blows up is muted and the filter state reset;
-    the count of such segments is returned alongside the waveform.
-    """
-    if len(frames) != len(resid):
-        raise ValueError(f"{len(frames)} filters vs {len(resid)} segments")
-    order = frames[0].order if frames else 0
-    state = np.zeros(order)
-    overflow = 0
-    pieces = []
-    for i, filt in enumerate(frames):
-        try:
-            seg, state = synthesis_filter(resid.segments[i], filt, state)
-        except FilterUnstableError:
-            seg = np.zeros(resid.hop)
-            state = np.zeros(order)
-            overflow += 1
-        pieces.append(seg)
-    wave = Waveform(samples=np.concatenate(pieces),
-                    sample_rate=resid.sample_rate)
-    return wave, overflow
+    return coeffs, stats
 
 
 def convert_waveform(model: MlpModel, wave: Waveform, order: int = 24,
@@ -209,13 +174,12 @@ def convert_waveform(model: MlpModel, wave: Waveform, order: int = 24,
                      raw_lpc: bool = False):
     """analyze -> map -> resynthesize -> de-emphasize.
 
-    Returns (converted waveform, mapped frames, ConvertStats).
+    Returns (converted waveform, mapped predictor coefficients, ConvertStats).
     """
     feats, resid = analyze_waveform(wave, order, frame_ms, hop_ms, alpha, sigma)
-    frames, stats = map_features(model, feats, raw_lpc)
-    synth, overflow = synthesize_frames(frames, resid)
-    stats.overflow_frames = overflow
-    return deemphasize(synth, alpha), frames, stats
+    coeffs, stats = map_features(model, feats, raw_lpc)
+    synth, stats.overflow_frames = synthesize(coeffs, resid)
+    return deemphasize(synth, alpha), coeffs, stats
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +325,14 @@ def write_report(entries, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_poles(frames, path) -> None:
-    """CSV of every frame's pole coordinates; frames that defeat the root
-    finder contribute its best iterate."""
+def write_poles(coeffs, path) -> None:
+    """CSV of the pole coordinates of every row of a (frames, order)
+    predictor track; rows that defeat the root finder contribute its best
+    iterate."""
     lines = [POLES_HEADER]
-    for i, frame in enumerate(frames):
+    for i, row in enumerate(coeffs):
         try:
-            poles = lpc_poles(frame)
+            poles = lpc_poles(LpcFrame(coefficients=row, gain=1.0))
         except RootConvergenceError as err:
             poles = err.roots
         for z in poles:
@@ -379,18 +344,38 @@ def write_poles(frames, path) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def _load_track(path, args) -> FeatureTrack:
-    """A WAV path is analyzed with the current flags; anything else is read
-    as a feature file."""
-    if str(path).lower().endswith(".wav"):
-        feats, _ = analyze_waveform(read_wav(path), args.order, args.frame_ms,
-                                    args.hop_ms, args.alpha, args.sigma)
-        return feats
-    feats = read_features(path)
-    if feats.order != args.order:
-        raise ValueError(f"{path}: feature order {feats.order} does not "
-                         f"match --order {args.order}")
-    return feats
+def _is_wav(path) -> bool:
+    """True iff the file starts with the RIFF magic, whatever its name."""
+    with open(path, "rb") as fh:
+        return fh.read(4) == b"RIFF"
+
+
+def _load_tracks(args, *paths):
+    """Yield the feature tracks of one call, a list per position of the
+    `paths` lists.  A WAV file is analyzed with the current flags; anything
+    else is read as a feature file.  All must share their analysis
+    settings."""
+    first = None
+    for group in zip(*paths):
+        tracks = []
+        for path in group:
+            if _is_wav(path):
+                feats, _ = analyze_waveform(read_wav(path), args.order,
+                                            args.frame_ms, args.hop_ms,
+                                            args.alpha, args.sigma)
+            else:
+                feats = read_features(path)
+            if feats.order != args.order:
+                raise ValueError(f"{path}: feature order {feats.order} does "
+                                 f"not match --order {args.order}")
+            first = first or (path, feats)
+            for key in ("sample_rate", "frame_ms", "hop_ms", "alpha", "sigma"):
+                if getattr(feats, key) != getattr(first[1], key):
+                    raise ValueError(f"{path}: {key} {getattr(feats, key)} "
+                                     f"does not match {key} "
+                                     f"{getattr(first[1], key)} of {first[0]}")
+            tracks.append(feats)
+        yield tracks
 
 
 def cmd_analyze(args) -> int:
@@ -414,9 +399,7 @@ def cmd_train(args) -> int:
         raise ValueError(f"architecture {'-'.join(map(str, sizes))} does not "
                          f"map order-{args.order} features")
     pairs = []
-    for src, tgt in zip(args.source, args.target):
-        fs = _load_track(src, args)
-        ft = _load_track(tgt, args)
+    for fs, ft in _load_tracks(args, args.source, args.target):
         alignment = dtw_align(fs.normalized, ft.normalized)
         if args.raw_lpc:
             pairs.extend(pair_frames(alignment, lsf_to_lpc(fs.lsf),
@@ -443,12 +426,12 @@ def cmd_train(args) -> int:
 def cmd_convert(args) -> int:
     model = load_model(args.model)
     wave = read_wav(args.input)
-    out, frames, stats = convert_waveform(
+    out, coeffs, stats = convert_waveform(
         model, wave, args.order, args.frame_ms, args.hop_ms, args.alpha,
         args.sigma, raw_lpc=args.raw_lpc)
     write_wav(out, args.output)
     if args.poles_out:
-        write_poles(frames, args.poles_out)
+        write_poles(coeffs, args.poles_out)
     print(f"{args.output}: {stats.total_frames} frames, "
           f"{stats.unstable_frames} unstable, {stats.overflow_frames} muted, "
           f"{stats.fallback_frames} fallbacks")
@@ -459,10 +442,8 @@ def cmd_evaluate(args) -> int:
     if not len(args.source) == len(args.target) == len(args.converted):
         raise ValueError("need equal counts of --source/--target/--converted")
     entries = []
-    for src, tgt, conv in zip(args.source, args.target, args.converted):
-        fs = _load_track(src, args)
-        ft = _load_track(tgt, args)
-        fc = _load_track(conv, args)
+    for src, (fs, ft, fc) in zip(args.source, _load_tracks(
+            args, args.source, args.target, args.converted)):
         rep = conversion_report(fs.normalized, ft.normalized, fc.normalized)
         entries.append((Path(src).stem, rep))
     write_report(entries, args.out)
@@ -473,16 +454,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_poles(args) -> int:
-    if str(args.input).lower().endswith(".wav"):
+    if _is_wav(args.input):
         pre = preemphasize(read_wav(args.input), args.alpha)
         frames = frame_signal(pre, args.frame_ms, args.hop_ms, args.sigma)
-        lpc = analyze_track(frames.frames, args.order)
-        lpc_frames = _lpc_frames(lpc.coefficients, lpc.gains)
+        coeffs = analyze_track(frames.frames, args.order).coefficients
     else:
-        feats = read_features(args.input)
-        lpc_frames = _lpc_frames(lsf_to_lpc(feats.lsf), feats.gains)
-    write_poles(lpc_frames, args.out)
-    print(f"{args.out}: {len(lpc_frames)} frames")
+        coeffs = lsf_to_lpc(read_features(args.input).lsf)
+    write_poles(coeffs, args.out)
+    print(f"{args.out}: {len(coeffs)} frames")
     return 0
 
 

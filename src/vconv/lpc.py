@@ -146,50 +146,71 @@ def analyze_track(frames: np.ndarray, order: int) -> LpcTrack:
     return levinson_durbin(autocorrelate(np.atleast_2d(frames), order), order)
 
 
-def inverse_filter(segment, lpc: LpcFrame, state):
+def _filter_rows(signal, lpc, state):
+    """(coefficient rows, signal rows, state, single) of a filter call; one
+    LpcFrame with a 1-D signal is a one-row track."""
+    single = isinstance(lpc, LpcFrame)
+    coeffs = np.array(lpc.coefficients if single else lpc, dtype=np.float64,
+                      ndmin=2, order="C")
+    rows = np.array(signal, dtype=np.float64, ndmin=2)
+    if len(coeffs) != len(rows):
+        raise ValueError(f"{len(coeffs)} filters vs {len(rows)} segments")
+    state = np.asarray(state, dtype=np.float64)
+    if len(state) != coeffs.shape[1]:
+        raise ValueError(f"state length {len(state)} != filter order "
+                         f"{coeffs.shape[1]}")
+    return coeffs, rows, state, single
+
+
+def inverse_filter(segments, lpc, state):
     """Prediction error e[n] = s[n] - sum_k a_k s[n-k], streaming across segments.
 
-    `state` holds the last p input samples (oldest first) from the previous
+    `lpc` is one LpcFrame for a 1-D segment, or a track's (frames, p)
+    coefficients, row i filtering row i of the (frames, hop) segments.
+    `state` holds the last p input samples (oldest first) before the first
     segment; the returned state continues the stream.
     """
-    a = np.asarray(lpc.coefficients, dtype=np.float64)
-    p = len(a)
-    state = np.asarray(state, dtype=np.float64)
-    if len(state) != p:
-        raise ValueError(f"state length {len(state)} != filter order {p}")
-    seg = np.asarray(segment, dtype=np.float64)
-    ext = np.concatenate([state, seg])
-    kernel = np.concatenate([[1.0], -a])
-    residual = np.convolve(ext, kernel)[p:p + len(seg)]
-    new_state = ext[len(ext) - p:] if p else state
-    return residual, new_state.copy()
+    coeffs, rows, state, single = _filter_rows(segments, lpc, state)
+    p = coeffs.shape[1]
+    residual = np.empty(rows.shape)
+    for r, (a, seg) in enumerate(zip(coeffs, rows)):
+        ext = np.concatenate([state, seg])
+        kernel = np.concatenate([[1.0], -a])
+        residual[r] = np.convolve(ext, kernel)[p:p + len(seg)]
+        state = ext[len(seg):]
+    return (residual[0] if single else residual), state.copy()
 
 
-def synthesis_filter(residual, lpc: LpcFrame, state):
+def synthesis_filter(residual, lpc, state):
     """All-pole synthesis s[n] = e[n] + sum_k a_k s[n-k], streaming across segments.
 
-    `state` holds the last p output samples (oldest first).  Raises
-    FilterUnstableError if the output goes non-finite or beyond
-    UNSTABLE_LIMIT in magnitude; the exception carries the output and state.
+    `lpc` and the residual are a frame and a segment or a track, as for
+    inverse_filter; `state` holds the last p output samples (oldest
+    first).  A segment whose output goes non-finite or beyond
+    UNSTABLE_LIMIT in magnitude has blown up: a one-segment call raises
+    FilterUnstableError, carrying the output and state; in a track the
+    segment's row is NaN and the next segment starts from a zero state.
     """
-    a = np.asarray(lpc.coefficients, dtype=np.float64)
-    p = len(a)
-    state = np.asarray(state, dtype=np.float64)
-    if len(state) != p:
-        raise ValueError(f"state length {len(state)} != filter order {p}")
-    e = np.asarray(residual, dtype=np.float64)
-    n = len(e)
-    buf = np.concatenate([state, np.zeros(n)])
-    for i in range(n):
-        buf[p + i] = e[i] + np.dot(a, buf[i:p + i][::-1])
-    out = buf[p:]
-    new_state = buf[len(buf) - p:].copy() if p else state
-    peak = np.max(np.abs(out)) if n else 0.0
-    if not np.isfinite(peak) or peak > UNSTABLE_LIMIT:
-        raise FilterUnstableError(
-            f"synthesis output reached magnitude {peak:.3g}",
-            output=out, state=new_state)
-    return out, new_state
+    coeffs, rows, state, single = _filter_rows(residual, lpc, state)
+    p = coeffs.shape[1]
+    out = np.empty(rows.shape)
+    for r, (a, e) in enumerate(zip(coeffs, rows)):
+        n = len(e)
+        buf = np.concatenate([state, np.zeros(n)])
+        for i in range(n):
+            buf[p + i] = e[i] + np.dot(a, buf[i:p + i][::-1])
+        out[r] = buf[p:]
+        state = buf[n:].copy()
+        peak = np.max(np.abs(out[r])) if n else 0.0
+        if np.isfinite(peak) and peak <= UNSTABLE_LIMIT:
+            continue
+        if single:
+            raise FilterUnstableError(
+                f"synthesis output reached magnitude {peak:.3g}",
+                output=out[0], state=state)
+        out[r] = np.nan
+        state = np.zeros(p)
+    return (out[0] if single else out), state
 
 
 def stable_rows(coefficients) -> np.ndarray:

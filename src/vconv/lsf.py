@@ -220,24 +220,23 @@ def validate_lsf(omegas) -> bool:
 
 
 def rectify_lsf(raw) -> np.ndarray:
-    """Force an arbitrary real vector into a valid LSF vector.
+    """Force an arbitrary real vector, or each row of a track, into a valid
+    LSF vector.
 
     Clamps into [MIN_GAP, pi - MIN_GAP], sorts, then sweeps forward pushing
-    each value at least MIN_GAP above its predecessor; if the forward sweep
-    overshoots the upper bound a backward sweep pulls values down.  Total
-    and idempotent.
+    each value at least MIN_GAP above its predecessor; where the forward
+    sweep overshoots the upper bound a backward sweep pulls values down.
+    Each sweep runs column by column over all rows.  Total and idempotent.
     """
     x = np.asarray(raw, dtype=np.float64)
     x = np.where(np.isfinite(x), x, 0.5 * np.pi)
     x = np.sort(np.clip(x, MIN_GAP, np.pi - MIN_GAP))
-    for i in range(1, len(x)):
-        floor = x[i - 1] + MIN_GAP
-        if x[i] < floor:
-            x[i] = floor
-    if len(x) and x[-1] > np.pi - MIN_GAP:
-        x[-1] = np.pi - MIN_GAP
-        for i in range(len(x) - 2, -1, -1):
-            ceil = x[i + 1] - MIN_GAP
-            if x[i] > ceil:
-                x[i] = ceil
+    rows = np.atleast_2d(x)  # a view: sweeps write through to x
+    for i in range(1, rows.shape[1]):
+        rows[:, i] = np.maximum(rows[:, i], rows[:, i - 1] + MIN_GAP)
+    over = np.any(rows[:, -1:] > np.pi - MIN_GAP, axis=1)
+    np.minimum(rows[:, -1:], np.pi - MIN_GAP, out=rows[:, -1:])
+    for i in range(rows.shape[1] - 2, -1, -1):
+        np.minimum(rows[:, i], rows[:, i + 1] - MIN_GAP, out=rows[:, i],
+                   where=over)
     return x

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .lpc import LpcFrame, synthesis_filter
-from .signal_io import Waveform, write_wav
+from .lpc import synthesis_filter
+from .signal_io import Waveform, hop_segments, write_wav
 
 # fixture voices: (average pitch in Hz, formant-center warp factor)
 SPEAKERS = {
@@ -131,22 +131,22 @@ def synthesize_utterance(spec: SyntheticSpeakerSpec, duration_s: float,
     """Drive the speaker's resonator cascade with its excitation; peak 0.5."""
     exc = generate_excitation(spec.pitch_hz, duration_s, sample_rate,
                               noise_mix, spec.seed)
-    x = exc.samples
     step = max(1, int(_STEP_MS * sample_rate / 1000.0))
     track = spec.formant_track
-    steps = track.shape[0]
-    order = 2 * track.shape[1]
-    out = np.empty(len(x))
-    state = np.zeros(order)
-    for start in range(0, len(x), step):
-        idx = min(start // step, steps - 1)
+    cascades = np.empty((len(track), 2 * track.shape[1]))
+    for i, formants in enumerate(track):
         poly = np.array([1.0])
-        for center, radius in track[idx]:
+        for center, radius in formants:
             poly = np.convolve(poly, [1.0, -2.0 * radius * np.cos(center),
                                       radius * radius])
-        frame = LpcFrame(coefficients=-poly[1:], gain=1.0)
-        seg, state = synthesis_filter(x[start:start + step], frame, state)
-        out[start:start + step] = seg
+        cascades[i] = -poly[1:]
+    # one cascade per step, the last one holding past the trajectory's end;
+    # the short last step is zero-padded and the padding trimmed off
+    steps = -(-len(exc) // step)
+    rows = cascades[np.minimum(np.arange(steps), len(track) - 1)]
+    out, _ = synthesis_filter(hop_segments(exc, step, steps), rows,
+                              np.zeros(cascades.shape[1]))
+    out = out.ravel()[:len(exc)]
     peak = np.max(np.abs(out))
     if peak > 0.0:
         out *= _PEAK / peak

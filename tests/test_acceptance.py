@@ -22,7 +22,7 @@ from scipy.spatial.distance import cdist
 
 from vconv.align import dtw_align
 from vconv.cli import analyze_waveform, main, read_features, read_residuals, \
-    resynthesize, write_features, write_residuals
+    synthesize, write_features, write_residuals
 from vconv.eval import mcd_frame
 from vconv.lpc import LpcFrame, levinson_durbin, lpc_poles
 from vconv.lsf import lpc_to_lsf, lsf_to_lpc
@@ -342,6 +342,7 @@ def test_criterion_07_distortion_metric(capsys):
 
 def test_criterion_08_resynthesis_identity(tmp_path, capsys):
     worst = 0.0
+    muted = 0
     for k in range(5):
         specs = utterance_pair_specs("M1", "F1", 0.62, 11025,
                                      pair_seed=50000 + k)
@@ -352,14 +353,17 @@ def test_criterion_08_resynthesis_identity(tmp_path, capsys):
             rpath = tmp_path / f"{spec.seed}.resid.csv"
             write_features(feats, fpath)
             write_residuals(resid, rpath)
-            out = resynthesize(read_features(fpath), read_residuals(rpath))
+            out, mutes = synthesize(lsf_to_lpc(read_features(fpath).lsf),
+                                    read_residuals(rpath))
+            muted += mutes
             pre = preemphasize(wave)
             covered = len(feats) * resid.hop
             worst = max(worst, float(np.max(np.abs(
                 out.samples - pre.samples[:covered]))))
-    ok = worst <= 1e-6
+    ok = worst <= 1e-6 and muted == 0
     _report(8, ok, f"10 synthetic utterances through feature/residual files: "
-            f"max resynthesis deviation {worst:.3g} (tol 1e-6)", capsys)
+            f"max resynthesis deviation {worst:.3g} (tol 1e-6), "
+            f"{muted} muted segments", capsys)
 
 
 def test_criterion_09_conversion_quality(corpus_flow, capsys):

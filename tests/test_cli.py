@@ -15,13 +15,12 @@ from vconv.cli import (
     map_features,
     read_features,
     read_residuals,
-    resynthesize,
-    synthesize_frames,
+    synthesize,
     uniform_lsf,
     write_features,
     write_residuals,
 )
-from vconv.lpc import LpcFrame
+from vconv.lsf import lsf_to_lpc
 from vconv.mlp import MlpModel, init_mlp, save_model
 from vconv.signal_io import preemphasize, read_wav
 from vconv.testkit import synthesize_utterance, utterance_pair_specs
@@ -36,6 +35,11 @@ def utterance():
 def _identity_model(order=24):
     """Single linear layer wired to the identity map."""
     return MlpModel(weights=[np.eye(order)], biases=[np.zeros(order)])
+
+
+def _resynthesize(feats, resid):
+    """The stored filters driven by the stored residual."""
+    return synthesize(lsf_to_lpc(feats.lsf), resid)[0]
 
 
 def test_uniform_lsf():
@@ -64,7 +68,7 @@ def test_analyze_resynthesize_identity(utterance):
     """The residuals are extracted with the stored filters, so resynthesis
     reproduces the pre-emphasized signal over the covered span."""
     feats, resid = analyze_waveform(utterance)
-    out = resynthesize(feats, resid)
+    out = _resynthesize(feats, resid)
     pre = preemphasize(utterance, feats.alpha)
     covered = len(feats) * resid.hop
     assert np.max(np.abs(out.samples - pre.samples[:covered])) <= 1e-6
@@ -91,7 +95,7 @@ def test_feature_file_round_trip(tmp_path, utterance):
     assert feats2.fallbacks == feats.fallbacks
 
     # end to end through the text files: still bit-faithful resynthesis
-    out = resynthesize(feats2, resid2)
+    out = _resynthesize(feats2, resid2)
     pre = preemphasize(utterance, feats.alpha)
     covered = len(feats2) * resid2.hop
     assert np.max(np.abs(out.samples - pre.samples[:covered])) <= 1e-6
@@ -237,19 +241,16 @@ def test_analyze_falls_back_on_failed_frame(monkeypatch, utterance, bad):
 
 def test_map_features_identity_model(utterance):
     feats, _ = analyze_waveform(utterance)
-    frames, stats = map_features(_identity_model(), feats)
+    coeffs, stats = map_features(_identity_model(), feats)
     assert stats.total_frames == len(feats)
     assert stats.unstable_frames == 0
     assert stats.fallback_frames == 0
-    for i, frame in enumerate(frames):
-        assert frame.gain == feats.gains[i]
     # identity mapping reproduces the stored filters exactly when no
     # frequency pair needs rectification
-    from vconv.lsf import lsf_to_lpc
-    for i in (0, len(frames) // 2, len(frames) - 1):
+    for i in (0, len(coeffs) // 2, len(coeffs) - 1):
         expected = lsf_to_lpc(feats.lsf[i], feats.gains[i])
-        np.testing.assert_allclose(frames[i].coefficients,
-                                   expected.coefficients, atol=1e-9)
+        np.testing.assert_allclose(coeffs[i], expected.coefficients,
+                                   atol=1e-9)
 
 
 def test_map_features_dimension_mismatch(utterance):
@@ -264,19 +265,18 @@ def test_map_features_rectifies_lsf_output(utterance):
     feats, _ = analyze_waveform(utterance)
     junk = MlpModel(weights=[np.zeros((24, 24))],
                     biases=[np.linspace(0.9, 0.1, 24)])  # descending output
-    frames, stats = map_features(junk, feats)
+    coeffs, stats = map_features(junk, feats)
     assert stats.unstable_frames == 0
     assert stats.total_frames == len(feats)
 
 
-def test_synthesize_frames_mutes_overflow():
+def test_synthesize_mutes_overflow():
     from vconv.cli import ResidualTrack
     resid = ResidualTrack(segments=np.ones((3, 100)),
                           initial_state=np.zeros(1), sample_rate=8000,
                           alpha=0.97)
-    stable = LpcFrame(coefficients=np.array([0.5]), gain=1.0)
-    unstable = LpcFrame(coefficients=np.array([2.0]), gain=1.0)
-    wave, overflow = synthesize_frames([stable, unstable, stable], resid)
+    coeffs = np.array([[0.5], [2.0], [0.5]])  # the middle pole is at z = 2
+    wave, overflow = synthesize(coeffs, resid)
     assert overflow == 1
     assert not np.any(wave.samples[100:200])  # the bad segment is muted
     assert np.all(np.isfinite(wave.samples))
@@ -316,7 +316,7 @@ def test_cli_convert_with_identity_model(tmp_path, utterance):
     # identity mapping plus exact residuals: output approximates the input
     # round trip to within one quantization step
     feats, resid = analyze_waveform(read_wav(wav))
-    baseline = deemphasize(resynthesize(feats, resid), feats.alpha)
+    baseline = deemphasize(_resynthesize(feats, resid), feats.alpha)
     converted = read_wav(out_path)
     assert len(converted) == len(feats) * resid.hop
     assert np.max(np.abs(converted.samples - baseline.samples)) <= 1.5 / 32768
@@ -473,6 +473,90 @@ def test_cli_poles_subcommand(tmp_path, utterance, capsys):
     out2 = tmp_path / "poles2.csv"
     assert main(["poles", str(feat), "--out", str(out2)]) == 0
     assert out2.read_text().splitlines()[0] == "frame,re,im,magnitude"
+    capsys.readouterr()
+
+
+def test_cli_convert_mutes_every_blown_up_segment(tmp_path, utterance,
+                                                  capsys):
+    """A model whose every mapped predictor has a pole at z = 3: each
+    segment blows up and is muted, so the converted WAV is silence.  (At
+    z = 2 one segment of this utterance peaks at 2.3e11, under
+    UNSTABLE_LIMIT, and is kept.)"""
+    from vconv.signal_io import write_wav
+    wav = tmp_path / "u.wav"
+    write_wav(utterance, wav)
+    bias = np.zeros(24)
+    bias[0] = 3.0
+    model_path = tmp_path / "unstable.mlp"
+    save_model(MlpModel(weights=[np.zeros((24, 24))], biases=[bias]),
+               model_path)
+    out_path = tmp_path / "c.wav"
+    capsys.readouterr()
+    rc = main(["convert", str(model_path), str(wav), str(out_path),
+               "--raw-lpc"])
+    assert rc == 0
+    n = len(analyze_waveform(read_wav(wav))[0])
+    assert capsys.readouterr().out == (
+        f"{out_path}: {n} frames, {n} unstable, {n} muted, 0 fallbacks\n")
+    converted = read_wav(out_path)
+    assert len(converted) == n * 55
+    assert not np.any(converted.samples)
+
+
+def test_cli_rejects_mismatched_analysis_settings(tmp_path, capsys):
+    from vconv.signal_io import write_wav
+    src_spec, _ = utterance_pair_specs("M1", "M2", 0.3, 11025,
+                                       pair_seed=45000)
+    _, tgt_spec = utterance_pair_specs("M1", "M2", 0.3, 22050,
+                                       pair_seed=45000)
+    src_wav = tmp_path / "s.wav"
+    tgt_wav = tmp_path / "t.wav"
+    write_wav(synthesize_utterance(src_spec, 0.3, 11025), src_wav)
+    write_wav(synthesize_utterance(tgt_spec, 0.3, 22050), tgt_wav)
+    report = tmp_path / "r.csv"
+    rc = main(["evaluate", "--source", str(src_wav), "--target", str(tgt_wav),
+               "--converted", str(src_wav), "--out", str(report)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "sample_rate 22050 does not match sample_rate 11025" in err
+    assert not report.exists()
+
+    model_path = tmp_path / "m.mlp"
+    rc = main(["train", "--source", str(src_wav), "--target", str(tgt_wav),
+               "--model-out", str(model_path), "--epochs", "5"])
+    assert rc == 1
+    assert "sample_rate 22050 does not match" in capsys.readouterr().err
+    assert not model_path.exists()
+
+    # feature files made with another hop
+    feat5 = tmp_path / "s5.csv"
+    feat10 = tmp_path / "s10.csv"
+    assert main(["analyze", str(src_wav), "--features", str(feat5)]) == 0
+    assert main(["analyze", str(src_wav), "--features", str(feat10),
+                 "--hop-ms", "10"]) == 0
+    capsys.readouterr()
+    rc = main(["evaluate", "--source", str(feat5), "--target", str(feat10),
+               "--converted", str(feat5), "--out", str(report)])
+    assert rc == 1
+    assert "hop_ms 10.0 does not match hop_ms 5.0" in capsys.readouterr().err
+
+
+def test_cli_tells_wav_from_features_by_content(tmp_path, utterance, capsys):
+    from vconv.signal_io import write_wav
+    wav = tmp_path / "src.audio"
+    feat = tmp_path / "f.wav"
+    write_wav(utterance, wav)
+    assert main(["analyze", str(wav), "--features", str(feat)]) == 0
+    frames = len(read_features(feat))
+    for path in (wav, feat):
+        out = tmp_path / (path.name + ".poles.csv")
+        assert main(["poles", str(path), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + frames * 24
+    rc = main(["train", "--source", str(wav), "--target", str(feat),
+               "--model-out", str(tmp_path / "m.mlp"), "--arch", "24-4-24",
+               "--epochs", "5"])
+    assert rc == 0
     capsys.readouterr()
 
 

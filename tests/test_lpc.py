@@ -414,3 +414,50 @@ def test_track_analysis_shapes():
         autocorrelate(np.ones((2, 3, 10)), 4)
     with pytest.raises(ValueError):
         levinson_durbin(np.ones((3, 4)), 4)
+
+
+def _segment_loop(filt, segments, coeffs, state):
+    """A track filtered one segment at a time: the reference a whole-track
+    call must match bit for bit."""
+    rows = []
+    for seg, a in zip(segments, coeffs):
+        out, state = filt(seg, LpcFrame(coefficients=a, gain=1.0), state)
+        rows.append(out)
+    return np.stack(rows), state
+
+
+@pytest.mark.parametrize("order", [2, 16, 24])
+def test_track_filters_match_segment_loop(order):
+    rng = np.random.default_rng(order)
+    coeffs = analyze_track(rng.standard_normal((12, 275)), order).coefficients
+    segments = rng.standard_normal((12, 55))
+    state = rng.standard_normal(order)
+    for filt in (inverse_filter, synthesis_filter):
+        out, last = filt(segments, coeffs, state)
+        ref_out, ref_last = _segment_loop(filt, segments, coeffs, state)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(last, ref_last)
+
+
+def test_track_synthesis_restarts_after_unstable_row():
+    rng = np.random.default_rng(60)
+    coeffs = analyze_track(rng.standard_normal((5, 275)), 6).coefficients
+    coeffs[2] = 0.0
+    coeffs[2, 0] = 2.0  # a pole at z = 2
+    segments = rng.standard_normal((5, 55))
+    out, last = synthesis_filter(segments, coeffs, np.zeros(6))
+    assert np.isnan(out[2]).all()
+    assert not np.isnan(np.delete(out, 2, axis=0)).any()
+    head, _ = synthesis_filter(segments[:2], coeffs[:2], np.zeros(6))
+    np.testing.assert_array_equal(out[:2], head)
+    # after the blown-up row the stream goes on from a zero state
+    tail, tail_last = synthesis_filter(segments[3:], coeffs[3:], np.zeros(6))
+    np.testing.assert_array_equal(out[3:], tail)
+    np.testing.assert_array_equal(last, tail_last)
+
+
+def test_track_filters_need_one_filter_per_segment():
+    coeffs = np.zeros((3, 4))
+    for filt in (inverse_filter, synthesis_filter):
+        with pytest.raises(ValueError, match="3 filters vs 2 segments"):
+            filt(np.ones((2, 10)), coeffs, np.zeros(4))
