@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .align import dtw_align, pair_frames
-from .eval import conversion_report
+from .eval import ConversionReport, conversion_report
 from .lpc import (LpcFrame, RootConvergenceError, analyze_track,
                   inverse_filter, lpc_poles, stable_rows, synthesis_filter)
 from .lsf import lpc_to_lsf, lsf_to_lpc, rectify_lsf, validate_lsf
