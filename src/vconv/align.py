@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 
 class StaleAlignmentError(IndexError):
@@ -24,6 +23,17 @@ class DtwAlignment:
     total_cost: float  # sum of local distances over the path cells
 
 
+def _euclidean_distances(a, b) -> np.ndarray:
+    """(n, m) distances between the rows of a and of b: the squares are
+    summed one dimension at a time, in the order cdist sums them."""
+    local = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        d = np.subtract.outer(a[:, k], b[:, k])
+        d *= d
+        local += d
+    return np.sqrt(local, out=local)
+
+
 def dtw_align(seq_a, seq_b) -> DtwAlignment:
     """Align two (frames, dims) arrays / vector lists of equal dimension."""
     a = np.atleast_2d(np.asarray(seq_a, dtype=np.float64))
@@ -34,7 +44,7 @@ def dtw_align(seq_a, seq_b) -> DtwAlignment:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     n, m = a.shape[0], b.shape[0]
 
-    local = cdist(a, b)
+    local = _euclidean_distances(a, b)
     acc = np.empty((n, m))
     # edge cells accumulate in path order so costs match a step-by-step sum
     acc[0, :] = np.cumsum(local[0, :])

@@ -18,6 +18,11 @@ _DK_MOVE_TOL = 1e-12
 _DK_MAX_ITER = 1000
 _DK_RESIDUAL_TOL = 1e-8
 
+# synthesis works on this many frames at a time, so its working set stays
+# bounded whatever the track length: at order 24 and a 240-sample hop
+# (48 kHz) a block's responses take 3.4 MB
+_SYNTHESIS_BLOCK = 64
+
 
 class FilterUnstableError(RuntimeError):
     """Synthesis output blew up (non-finite or beyond UNSTABLE_LIMIT).
@@ -150,9 +155,9 @@ def _filter_rows(signal, lpc, state):
     """(coefficient rows, signal rows, state, single) of a filter call; one
     LpcFrame with a 1-D signal is a one-row track."""
     single = isinstance(lpc, LpcFrame)
-    coeffs = np.array(lpc.coefficients if single else lpc, dtype=np.float64,
-                      ndmin=2, order="C")
-    rows = np.array(signal, dtype=np.float64, ndmin=2)
+    coeffs = np.atleast_2d(np.ascontiguousarray(
+        lpc.coefficients if single else lpc, dtype=np.float64))
+    rows = np.atleast_2d(np.asarray(signal, dtype=np.float64))
     if len(coeffs) != len(rows):
         raise ValueError(f"{len(coeffs)} filters vs {len(rows)} segments")
     state = np.asarray(state, dtype=np.float64)
@@ -181,6 +186,29 @@ def inverse_filter(segments, lpc, state):
     return (residual[0] if single else residual), state.copy()
 
 
+def _hop_responses(coeffs, rows, buf):
+    """Per filter row, over one hop: the zero-state response to its signal
+    row, (frames, hop), and the responses to each of the p carried output
+    samples set to one, (frames, p, hop).  Both are views of `buf`, scratch
+    space of at least (frames, p + 1, p + hop).
+
+    One recursion runs over the hop for every row at once, on p + 1
+    channels: the signal from a zero state, and zero input from each unit
+    state.  Each step is one stacked matrix-vector product, so a row's
+    responses do not depend on the other rows of the call.
+    """
+    p = coeffs.shape[1]
+    buf = buf[:len(coeffs)]
+    buf[:] = 0.0
+    buf[:, 0, p:] = rows
+    buf[:, 1:, :p] = np.eye(p)
+    reversed_coeffs = np.ascontiguousarray(coeffs[:, ::-1])[:, :, None]
+    for i in range(rows.shape[1]):
+        buf[:, :, p + i] += np.matmul(buf[:, :, i:p + i],
+                                      reversed_coeffs)[:, :, 0]
+    return buf[:, 0, p:], buf[:, 1:, p:]
+
+
 def synthesis_filter(residual, lpc, state):
     """All-pole synthesis s[n] = e[n] + sum_k a_k s[n-k], streaming across segments.
 
@@ -190,26 +218,33 @@ def synthesis_filter(residual, lpc, state):
     UNSTABLE_LIMIT in magnitude has blown up: a one-segment call raises
     FilterUnstableError, carrying the output and state; in a track the
     segment's row is NaN and the next segment starts from a zero state.
+
+    Block form: the responses of every filter over its hop come from
+    _hop_responses, _SYNTHESIS_BLOCK rows at a time, and a pass over the
+    rows adds the carried state's part, y = zero-state response + state @ Z.
     """
     coeffs, rows, state, single = _filter_rows(residual, lpc, state)
-    p = coeffs.shape[1]
+    p, hop = coeffs.shape[1], rows.shape[1]
     out = np.empty(rows.shape)
-    for r, (a, e) in enumerate(zip(coeffs, rows)):
-        n = len(e)
-        buf = np.concatenate([state, np.zeros(n)])
-        for i in range(n):
-            buf[p + i] = e[i] + np.dot(a, buf[i:p + i][::-1])
-        out[r] = buf[p:]
-        state = buf[n:].copy()
-        peak = np.max(np.abs(out[r])) if n else 0.0
-        if np.isfinite(peak) and peak <= UNSTABLE_LIMIT:
-            continue
-        if single:
-            raise FilterUnstableError(
-                f"synthesis output reached magnitude {peak:.3g}",
-                output=out[0], state=state)
-        out[r] = np.nan
-        state = np.zeros(p)
+    buf = np.empty((min(len(rows), _SYNTHESIS_BLOCK), p + 1, p + hop))
+    # a blown-up filter may overflow its responses; the row is muted anyway
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(rows), _SYNTHESIS_BLOCK):
+            block = slice(start, start + _SYNTHESIS_BLOCK)
+            zero_state, carried = _hop_responses(coeffs[block], rows[block],
+                                                 buf)
+            for r, (y0, z) in enumerate(zip(zero_state, carried), start):
+                out[r] = y0 + state @ z
+                state = np.concatenate([state, out[r]])[hop:]
+                peak = np.max(np.abs(out[r])) if hop else 0.0
+                if np.isfinite(peak) and peak <= UNSTABLE_LIMIT:
+                    continue
+                if single:
+                    raise FilterUnstableError(
+                        f"synthesis output reached magnitude {peak:.3g}",
+                        output=out[0], state=state)
+                out[r] = np.nan
+                state = np.zeros(p)
     return (out[0] if single else out), state
 
 

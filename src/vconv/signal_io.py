@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import lfilter
 
 _SCALE = 32768.0
 
@@ -146,7 +146,10 @@ def deemphasize(w: Waveform, alpha: float = 0.97) -> Waveform:
     """Exact inverse of :func:`preemphasize`: y[n] = x[n] + alpha*y[n-1]."""
     _check_alpha(alpha)
     x = np.asarray(w.samples, dtype=np.float64)
-    y = lfilter([1.0], [1.0, -alpha], x)
+    alpha = float(alpha)
+    # one float recursion per sample, the arithmetic of lfilter([1], [1, -alpha])
+    y = np.fromiter(accumulate(x.tolist(), lambda prev, v: v + alpha * prev),
+                    dtype=np.float64, count=len(x))
     return Waveform(samples=y, sample_rate=w.sample_rate)
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from vconv.align import DtwAlignment, StaleAlignmentError, dtw_align, pair_frames
+from vconv.align import (DtwAlignment, StaleAlignmentError, _euclidean_distances,
+                         dtw_align, pair_frames)
 
 
 def _brute_force_cost(local):
@@ -191,3 +192,22 @@ def test_anti_diagonal_fill_matches_double_loop(ties):
         path, cost = _double_loop_dtw(a, b)
         assert alignment.path == path
         assert alignment.total_cost == cost
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_local_distances_match_cdist_bit_for_bit(ties):
+    # dtw_align sums the squared differences itself; criterion 05 compares
+    # total_cost with !=, so each distance must be the one cdist gives
+    rng = np.random.default_rng(21 + ties)
+    shapes = [(1, 1), (1, 17), (17, 1)] + [
+        tuple(rng.integers(1, 40, 2)) for _ in range(100)]
+    for k, (n, m) in enumerate(shapes):
+        dims = 1 if k % 10 == 0 else int(rng.integers(1, 30))
+        if ties:  # small integers: many equal distances, exact zeros
+            a = rng.integers(-2, 3, (n, dims)).astype(float)
+            b = rng.integers(-2, 3, (m, dims)).astype(float)
+        else:
+            scale = 10.0 ** rng.integers(-3, 4)
+            a = rng.standard_normal((n, dims)) * scale
+            b = rng.standard_normal((m, dims)) * scale
+        np.testing.assert_array_equal(_euclidean_distances(a, b), cdist(a, b))

@@ -1,6 +1,9 @@
 """Pipeline functions, feature/residual/report files and the CLI verbs."""
 
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +43,17 @@ def _identity_model(order=24):
 def _resynthesize(feats, resid):
     """The stored filters driven by the stored residual."""
     return synthesize(lsf_to_lpc(feats.lsf), resid)[0]
+
+
+def test_cli_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    src = str(Path(vconv.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, vconv, vconv.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_uniform_lsf():

@@ -1,5 +1,7 @@
 """Levinson-Durbin recursion, streaming filters and Durand-Kerner poles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
@@ -19,6 +21,7 @@ from vconv.lpc import (
     stable_rows,
     synthesis_filter,
 )
+from vconv.lsf import lsf_to_lpc
 from vconv.signal_io import Waveform, frame_signal
 
 
@@ -461,3 +464,82 @@ def test_track_filters_need_one_filter_per_segment():
     for filt in (inverse_filter, synthesis_filter):
         with pytest.raises(ValueError, match="3 filters vs 2 segments"):
             filt(np.ones((2, 10)), coeffs, np.zeros(4))
+
+
+def _loop_synthesis(segments, coeffs, state):
+    """The per-sample recursion that the block form replaced, one np.dot
+    per output sample, kept as the reference it must match closely."""
+    coeffs = np.array(coeffs, dtype=np.float64, ndmin=2)
+    rows = np.array(segments, dtype=np.float64, ndmin=2)
+    state = np.asarray(state, dtype=np.float64)
+    p = coeffs.shape[1]
+    out = np.empty(rows.shape)
+    for r, (a, e) in enumerate(zip(coeffs, rows)):
+        n = len(e)
+        buf = np.concatenate([state, np.zeros(n)])
+        for i in range(n):
+            buf[p + i] = e[i] + np.dot(a, buf[i:p + i][::-1])
+        out[r] = buf[p:]
+        state = buf[n:].copy()
+        peak = np.max(np.abs(out[r])) if n else 0.0
+        if not (np.isfinite(peak) and peak <= vconv.lpc.UNSTABLE_LIMIT):
+            out[r] = np.nan
+            state = np.zeros(p)
+    return out, state
+
+
+def _assert_matches_loop(segments, coeffs, state):
+    out, last = synthesis_filter(segments, coeffs, state)
+    ref_out, ref_last = _loop_synthesis(segments, coeffs, state)
+    np.testing.assert_array_equal(np.isnan(out), np.isnan(ref_out))
+    scale = np.nanmax(np.abs(ref_out))
+    np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(last, ref_last, rtol=1e-12, atol=1e-12 * scale)
+    return out
+
+
+@pytest.mark.parametrize("order", [2, 8, 16, 24])
+@pytest.mark.parametrize("hop", [1, 5, 40, 55, 240])
+def test_block_synthesis_matches_sample_loop(order, hop):
+    rng = np.random.default_rng(100 * order + hop)
+    frames = 70  # more than one block of rows
+    # stable filters from LSF vectors with random spacings; the two forms
+    # round differently, and with the lines much closer (resonances of a
+    # pole radius near 0.999) both drift from exact arithmetic past 1e-12
+    steps = 0.5 + rng.uniform(0.0, 1.0, (frames, order + 1))
+    lsf = np.cumsum(steps, axis=1)[:, :order] * (np.pi / steps.sum(axis=1)[:, None])
+    coeffs = lsf_to_lpc(lsf)
+    segments = rng.standard_normal((frames, hop))
+    _assert_matches_loop(segments, coeffs, rng.standard_normal(order))
+
+
+def test_block_synthesis_mutes_as_the_sample_loop_does():
+    rng = np.random.default_rng(61)
+    coeffs = analyze_track(rng.standard_normal((6, 275)), 24).coefficients
+    coeffs[[1, 2]] = 0.0
+    coeffs[1, 0] = 3.0  # a pole at z = 3: 3^37 passes UNSTABLE_LIMIT
+    coeffs[2, 0] = 2.0  # a pole at z = 2, from the zero state row 1 leaves
+    segments = rng.standard_normal((6, 38))
+    segments[2] = 0.0
+    segments[2, 0] = 2.3e11 / 2.0 ** 37  # peaks at 2.3e11, under the limit
+    out = _assert_matches_loop(segments, coeffs, rng.standard_normal(24))
+    assert np.isnan(out[:, 0]).tolist() == [False, True] + [False] * 4
+    assert np.max(np.abs(out[2])) == pytest.approx(2.3e11)
+
+
+def _synthesis_peak_bytes(frames, hop=55, order=24):
+    coeffs = np.tile(analyze_frame(np.arange(275.0) % 7, order).coefficients,
+                     (frames, 1))
+    segments = np.ones((frames, hop))
+    tracemalloc.start()
+    try:
+        synthesis_filter(segments, coeffs, np.zeros(order))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_synthesis_working_set_is_bounded():
+    # beyond its output rows a long track takes no more than a short one
+    extra = _synthesis_peak_bytes(4096) - _synthesis_peak_bytes(64)
+    assert extra <= 4096 * 55 * 8

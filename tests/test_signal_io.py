@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from vconv.signal_io import (
     WavDataError,
@@ -145,6 +146,18 @@ def test_preemphasis_deemphasis_round_trip():
     w = Waveform(samples=x, sample_rate=11025)
     back = deemphasize(preemphasize(w, 0.97), 0.97)
     assert np.max(np.abs(back.samples - x)) <= 1e-9
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.97, 0.999])
+def test_deemphasis_matches_lfilter_bit_for_bit(alpha):
+    rng = np.random.default_rng(int(alpha * 1000))
+    for k in range(25):
+        n = int(rng.integers(0, 5001)) if k else 0
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+        if k % 5 == 1:  # runs of exact zeros
+            x[rng.random(n) < 0.3] = 0.0
+        y = deemphasize(Waveform(x, 11025), alpha).samples
+        np.testing.assert_array_equal(y, lfilter([1.0], [1.0, -alpha], x))
 
 
 def test_preemphasis_zeros():
