@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,21 @@ class FeatureFormatError(ValueError):
     """Feature or residual file is malformed."""
 
 
+@dataclass(frozen=True)
+class AnalysisSettings:
+    """How an utterance is analyzed; the fields in feature-header order."""
+
+    frame_ms: float = 25.0
+    hop_ms: float = 5.0
+    order: int = 24
+    alpha: float = 0.97  # pre-emphasis coefficient
+    sigma: float = 0.4  # Gaussian window width factor
+
+    @classmethod
+    def from_args(cls, args) -> AnalysisSettings:
+        return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
 @dataclass
 class FeatureTrack:
     """Per-frame (gain, LSF radians) plus the analysis settings that made it."""
@@ -47,16 +62,16 @@ class FeatureTrack:
     lsf: np.ndarray  # (frames, order), each row strictly ascending in (0, pi)
     gains: np.ndarray  # (frames,)
     sample_rate: int
-    frame_ms: float
-    hop_ms: float
-    order: int
-    alpha: float
-    sigma: float
+    settings: AnalysisSettings
     fallbacks: int = 0  # frames that reused the previous frame's LSF
     degenerate: int = 0  # frames whose Levinson-Durbin recursion stopped early
 
     def __len__(self):
         return len(self.gains)
+
+    @property
+    def order(self) -> int:
+        return self.settings.order
 
     @property
     def normalized(self) -> np.ndarray:
@@ -81,22 +96,12 @@ class ResidualTrack:
         return self.segments.shape[1]
 
 
-@dataclass
-class ConvertStats:
-    total_frames: int
-    unstable_frames: int  # mapped filters with a pole magnitude >= 1
-    overflow_frames: int  # synthesis segments muted after blowing up
-    fallback_frames: int  # analysis-side LSF fallbacks
-
-
 def uniform_lsf(order: int) -> np.ndarray:
     """LSF vector of the trivial (all-zero) predictor: k*pi/(p+1)."""
     return np.arange(1, order + 1) * np.pi / (order + 1)
 
 
-def analyze_waveform(wave: Waveform, order: int = 24, frame_ms: float = 25.0,
-                     hop_ms: float = 5.0, alpha: float = 0.97,
-                     sigma: float = 0.4):
+def analyze_waveform(wave: Waveform, settings: AnalysisSettings = AnalysisSettings()):
     """Full analysis: pre-emphasis, framing, LPC, LSF, residual extraction.
 
     Residuals are produced with each frame's LSF-reconstructed filter (the
@@ -105,10 +110,11 @@ def analyze_waveform(wave: Waveform, order: int = 24, frame_ms: float = 25.0,
     signal.  Frames whose LSF conversion fails reuse the previous frame's
     vector and are counted in `fallbacks`.
     """
+    order = settings.order
     if order < 2 or order % 2 != 0:
         raise ValueError(f"order must be a positive even number, got {order}")
-    pre = preemphasize(wave, alpha)
-    frames = frame_signal(pre, frame_ms, hop_ms, sigma)
+    pre = preemphasize(wave, settings.alpha)
+    frames = frame_signal(pre, settings.frame_ms, settings.hop_ms, settings.sigma)
     segments = hop_segments(pre, frames.hop, len(frames))
 
     lpc = analyze_track(frames.frames, order)
@@ -121,11 +127,10 @@ def analyze_waveform(wave: Waveform, order: int = 24, frame_ms: float = 25.0,
     residuals, _ = inverse_filter(segments, lsf_to_lpc(lsf_rows), initial_state)
 
     feats = FeatureTrack(lsf=lsf_rows, gains=lpc.gains, sample_rate=wave.sample_rate,
-                         frame_ms=frame_ms, hop_ms=hop_ms, order=order,
-                         alpha=alpha, sigma=sigma, fallbacks=len(failed),
+                         settings=settings, fallbacks=len(failed),
                          degenerate=int(np.count_nonzero(lpc.degenerate)))
     resid = ResidualTrack(segments=residuals, initial_state=initial_state,
-                          sample_rate=wave.sample_rate, alpha=alpha)
+                          sample_rate=wave.sample_rate, alpha=settings.alpha)
     return feats, resid
 
 
@@ -146,7 +151,7 @@ def synthesize(coeffs: np.ndarray, resid: ResidualTrack):
 
 def map_features(model: MlpModel, feats: FeatureTrack, raw_lpc: bool = False):
     """Map every frame through the network; returns the (frames, order)
-    predictor coefficients and ConvertStats.
+    predictor coefficients.
 
     Default mode maps pi-normalized LSF and rectifies the output, so every
     produced filter is stable by construction.  raw_lpc mode maps the
@@ -158,28 +163,8 @@ def map_features(model: MlpModel, feats: FeatureTrack, raw_lpc: bool = False):
         raise ValueError(f"model maps {sizes[0]}->{sizes[-1]} dims, "
                          f"features have order {feats.order}")
     if raw_lpc:
-        coeffs = forward(model, lsf_to_lpc(feats.lsf))
-    else:
-        mapped = forward(model, feats.normalized) * np.pi
-        coeffs = lsf_to_lpc(rectify_lsf(mapped))
-    unstable = int(np.count_nonzero(~stable_rows(coeffs)))
-    stats = ConvertStats(total_frames=len(coeffs), unstable_frames=unstable,
-                         overflow_frames=0, fallback_frames=feats.fallbacks)
-    return coeffs, stats
-
-
-def convert_waveform(model: MlpModel, wave: Waveform, order: int = 24,
-                     frame_ms: float = 25.0, hop_ms: float = 5.0,
-                     alpha: float = 0.97, sigma: float = 0.4,
-                     raw_lpc: bool = False):
-    """analyze -> map -> resynthesize -> de-emphasize.
-
-    Returns (converted waveform, mapped predictor coefficients, ConvertStats).
-    """
-    feats, resid = analyze_waveform(wave, order, frame_ms, hop_ms, alpha, sigma)
-    coeffs, stats = map_features(model, feats, raw_lpc)
-    synth, stats.overflow_frames = synthesize(coeffs, resid)
-    return deemphasize(synth, alpha), coeffs, stats
+        return forward(model, lsf_to_lpc(feats.lsf))
+    return lsf_to_lpc(rectify_lsf(forward(model, feats.normalized) * np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -189,21 +174,19 @@ def _g(value: float) -> str:
     return format(value, ".17g")
 
 
-def write_features(feats: FeatureTrack, path) -> None:
-    lines = [f"# version={FEATURE_VERSION}",
-             f"# sample_rate={feats.sample_rate}",
-             f"# frame_ms={_g(feats.frame_ms)}",
-             f"# hop_ms={_g(feats.hop_ms)}",
-             f"# order={feats.order}",
-             f"# alpha={_g(feats.alpha)}",
-             f"# sigma={_g(feats.sigma)}",
-             f"# fallbacks={feats.fallbacks}",
-             f"# degenerate={feats.degenerate}"]
-    for i in range(len(feats)):
-        row = np.concatenate([[feats.gains[i]], feats.lsf[i]])
-        lines.append(",".join(_g(v) for v in row))
+def _write_tagged_csv(path, meta: dict, rows) -> None:
+    """`# key=value` header lines, then one CSV line per row."""
+    lines = [f"# {key}={_g(value)}" for key, value in meta.items()]
+    lines.extend(",".join(_g(v) for v in row) for row in rows)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_features(feats: FeatureTrack, path) -> None:
+    meta = {"version": FEATURE_VERSION, "sample_rate": feats.sample_rate,
+            **asdict(feats.settings), "fallbacks": feats.fallbacks,
+            "degenerate": feats.degenerate}
+    _write_tagged_csv(path, meta, np.column_stack([feats.gains, feats.lsf]))
 
 
 def _read_tagged_csv(path, what: str):
@@ -244,12 +227,15 @@ def read_features(path) -> FeatureTrack:
     version = _meta_value(meta, "version", int, path)
     if version != FEATURE_VERSION:
         raise FeatureFormatError(f"{path}: unsupported feature version {version}")
-    order = _meta_value(meta, "order", int, path)
+    settings = AnalysisSettings(**{
+        f.name: _meta_value(meta, f.name, type(f.default), path)
+        for f in fields(AnalysisSettings)})
     if not rows:
         raise FeatureFormatError(f"{path}: no frames")
-    table = np.stack(rows) if all(len(r) == order + 1 for r in rows) else None
-    if table is None:
-        raise FeatureFormatError(f"{path}: rows must hold gain plus {order} LSF values")
+    if any(len(r) != settings.order + 1 for r in rows):
+        raise FeatureFormatError(f"{path}: rows must hold gain plus "
+                                 f"{settings.order} LSF values")
+    table = np.stack(rows)
     lsf = table[:, 1:]
     bad_gain = np.flatnonzero(~np.isfinite(table[:, 0]))
     if len(bad_gain):
@@ -258,32 +244,18 @@ def read_features(path) -> FeatureTrack:
         if not validate_lsf(row):
             raise FeatureFormatError(f"{path}: frame {i} LSF row is not "
                                      "strictly ascending in (0, pi)")
-    return FeatureTrack(
-        lsf=lsf, gains=table[:, 0],
-        sample_rate=_meta_value(meta, "sample_rate", int, path),
-        frame_ms=_meta_value(meta, "frame_ms", float, path),
-        hop_ms=_meta_value(meta, "hop_ms", float, path),
-        order=order,
-        alpha=_meta_value(meta, "alpha", float, path),
-        sigma=_meta_value(meta, "sigma", float, path),
-        fallbacks=(_meta_value(meta, "fallbacks", int, path)
-                   if "fallbacks" in meta else 0),
-        degenerate=(_meta_value(meta, "degenerate", int, path)
-                    if "degenerate" in meta else 0),
-    )
+    counts = {key: _meta_value(meta, key, int, path)  # optional, default 0
+              for key in ("fallbacks", "degenerate") if key in meta}
+    return FeatureTrack(lsf=lsf, gains=table[:, 0], settings=settings,
+                        sample_rate=_meta_value(meta, "sample_rate", int, path),
+                        **counts)
 
 
 def write_residuals(resid: ResidualTrack, path) -> None:
-    lines = [f"# version={RESIDUAL_VERSION}",
-             f"# sample_rate={resid.sample_rate}",
-             f"# hop={resid.hop}",
-             f"# order={len(resid.initial_state)}",
-             f"# alpha={_g(resid.alpha)}",
-             ",".join(_g(v) for v in resid.initial_state)]
-    for seg in resid.segments:
-        lines.append(",".join(_g(v) for v in seg))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    meta = {"version": RESIDUAL_VERSION, "sample_rate": resid.sample_rate,
+            "hop": resid.hop, "order": len(resid.initial_state),
+            "alpha": resid.alpha}
+    _write_tagged_csv(path, meta, [resid.initial_state, *resid.segments])
 
 
 def read_residuals(path) -> ResidualTrack:
@@ -300,6 +272,10 @@ def read_residuals(path) -> ResidualTrack:
                                  f"values, order says {order}")
     if any(len(r) != hop for r in rows[1:]):
         raise FeatureFormatError(f"{path}: segment rows must hold {hop} samples")
+    for i, row in enumerate(rows):
+        if not np.isfinite(row).all():
+            what = f"segment {i - 1}" if i else "initial state"
+            raise FeatureFormatError(f"{path}: {what} holds a non-finite value")
     segments = np.stack(rows[1:]) if len(rows) > 1 else np.empty((0, hop))
     return ResidualTrack(
         segments=segments, initial_state=rows[0],
@@ -355,33 +331,31 @@ def _load_tracks(args, *paths):
     `paths` lists.  A WAV file is analyzed with the current flags; anything
     else is read as a feature file.  All must share their analysis
     settings."""
+    settings = AnalysisSettings.from_args(args)
     first = None
     for group in zip(*paths):
         tracks = []
         for path in group:
             if _is_wav(path):
-                feats, _ = analyze_waveform(read_wav(path), args.order,
-                                            args.frame_ms, args.hop_ms,
-                                            args.alpha, args.sigma)
+                feats, _ = analyze_waveform(read_wav(path), settings)
             else:
                 feats = read_features(path)
-            if feats.order != args.order:
+            if feats.order != settings.order:
                 raise ValueError(f"{path}: feature order {feats.order} does "
-                                 f"not match --order {args.order}")
-            first = first or (path, feats)
-            for key in ("sample_rate", "frame_ms", "hop_ms", "alpha", "sigma"):
-                if getattr(feats, key) != getattr(first[1], key):
-                    raise ValueError(f"{path}: {key} {getattr(feats, key)} "
-                                     f"does not match {key} "
-                                     f"{getattr(first[1], key)} of {first[0]}")
+                                 f"not match --order {settings.order}")
+            made = {"sample_rate": feats.sample_rate, **asdict(feats.settings)}
+            first = first or (path, made)
+            for key, value in made.items():
+                if value != first[1][key]:
+                    raise ValueError(f"{path}: {key} {value} does not match "
+                                     f"{key} {first[1][key]} of {first[0]}")
             tracks.append(feats)
         yield tracks
 
 
 def cmd_analyze(args) -> int:
-    wave = read_wav(args.input)
-    feats, resid = analyze_waveform(wave, args.order, args.frame_ms,
-                                    args.hop_ms, args.alpha, args.sigma)
+    feats, resid = analyze_waveform(read_wav(args.input),
+                                    AnalysisSettings.from_args(args))
     write_features(feats, args.features)
     if args.residuals:
         write_residuals(resid, args.residuals)
@@ -425,16 +399,16 @@ def cmd_train(args) -> int:
 
 def cmd_convert(args) -> int:
     model = load_model(args.model)
-    wave = read_wav(args.input)
-    out, coeffs, stats = convert_waveform(
-        model, wave, args.order, args.frame_ms, args.hop_ms, args.alpha,
-        args.sigma, raw_lpc=args.raw_lpc)
-    write_wav(out, args.output)
+    settings = AnalysisSettings.from_args(args)
+    feats, resid = analyze_waveform(read_wav(args.input), settings)
+    coeffs = map_features(model, feats, args.raw_lpc)
+    synth, muted = synthesize(coeffs, resid)
+    write_wav(deemphasize(synth, settings.alpha), args.output)
     if args.poles_out:
         write_poles(coeffs, args.poles_out)
-    print(f"{args.output}: {stats.total_frames} frames, "
-          f"{stats.unstable_frames} unstable, {stats.overflow_frames} muted, "
-          f"{stats.fallback_frames} fallbacks")
+    print(f"{args.output}: {len(coeffs)} frames, "
+          f"{np.count_nonzero(~stable_rows(coeffs))} unstable, {muted} muted, "
+          f"{feats.fallbacks} fallbacks")
     return 0
 
 
@@ -455,9 +429,11 @@ def cmd_evaluate(args) -> int:
 
 def cmd_poles(args) -> int:
     if _is_wav(args.input):
-        pre = preemphasize(read_wav(args.input), args.alpha)
-        frames = frame_signal(pre, args.frame_ms, args.hop_ms, args.sigma)
-        coeffs = analyze_track(frames.frames, args.order).coefficients
+        settings = AnalysisSettings.from_args(args)
+        pre = preemphasize(read_wav(args.input), settings.alpha)
+        frames = frame_signal(pre, settings.frame_ms, settings.hop_ms,
+                              settings.sigma)
+        coeffs = analyze_track(frames.frames, settings.order).coefficients
     else:
         coeffs = lsf_to_lpc(read_features(args.input).lsf)
     write_poles(coeffs, args.out)
@@ -487,16 +463,17 @@ def _parse_arch(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = AnalysisSettings()
     analysis = argparse.ArgumentParser(add_help=False)
-    analysis.add_argument("--order", type=int, default=24,
+    analysis.add_argument("--order", type=int, default=defaults.order,
                           help="LPC order (even; default 24)")
-    analysis.add_argument("--frame-ms", type=float, default=25.0,
+    analysis.add_argument("--frame-ms", type=float, default=defaults.frame_ms,
                           help="frame length in ms (default 25)")
-    analysis.add_argument("--hop-ms", type=float, default=5.0,
+    analysis.add_argument("--hop-ms", type=float, default=defaults.hop_ms,
                           help="frame step in ms (default 5)")
-    analysis.add_argument("--alpha", type=float, default=0.97,
+    analysis.add_argument("--alpha", type=float, default=defaults.alpha,
                           help="pre-emphasis coefficient (default 0.97)")
-    analysis.add_argument("--sigma", type=float, default=0.4,
+    analysis.add_argument("--sigma", type=float, default=defaults.sigma,
                           help="Gaussian window width factor (default 0.4)")
 
     parser = argparse.ArgumentParser(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .align import dtw_align, pair_frames
+from .align import dtw_align
 
 _DB_FACTOR = 10.0 / np.log(10.0)
 
@@ -33,10 +33,13 @@ def mcd_frame(vec_t, vec_p) -> float:
 
 
 def mcd_sequences(seq_t, seq_p) -> float:
-    """Mean frame distortion along the DTW path between two tracks."""
-    alignment = dtw_align(seq_t, seq_p)
-    cells = pair_frames(alignment, seq_t, seq_p)
-    return float(np.mean([mcd_frame(a, b) for a, b in cells]))
+    """Mean frame distortion along the DTW path between two tracks: the
+    mcd_frame of every path cell, computed for all cells at once."""
+    t = np.atleast_2d(np.asarray(seq_t, dtype=np.float64))
+    p = np.atleast_2d(np.asarray(seq_p, dtype=np.float64))
+    i, j = np.asarray(dtw_align(t, p).path).T
+    cell_mcd = _DB_FACTOR * np.sqrt(2.0 * np.sum((t[i] - p[j]) ** 2, axis=1))
+    return float(np.mean(cell_mcd))
 
 
 @dataclass

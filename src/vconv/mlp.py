@@ -245,6 +245,8 @@ def load_model(path) -> MlpModel:
                 raise ModelDimensionError(
                     f"line {pos + 1} has {len(row)} values, expected "
                     f"{fan_in + 1} (bias + incoming weights)")
+            if not np.isfinite(row).all():
+                raise ModelFormatError(f"line {pos + 1} holds a non-finite value")
             b[unit] = row[0]
             w[unit] = row[1:]
             pos += 1

@@ -11,6 +11,7 @@ import pytest
 
 import vconv.cli
 from vconv.cli import (
+    AnalysisSettings,
     FeatureFormatError,
     analyze_waveform,
     build_parser,
@@ -23,9 +24,10 @@ from vconv.cli import (
     write_features,
     write_residuals,
 )
-from vconv.lsf import lsf_to_lpc
+from vconv.lpc import stable_rows
+from vconv.lsf import lsf_to_lpc, validate_lsf
 from vconv.mlp import MlpModel, init_mlp, save_model
-from vconv.signal_io import preemphasize, read_wav
+from vconv.signal_io import Waveform, preemphasize, read_wav
 from vconv.testkit import synthesize_utterance, utterance_pair_specs
 
 
@@ -63,9 +65,9 @@ def test_uniform_lsf():
 
 def test_analyze_rejects_odd_order(utterance):
     with pytest.raises(ValueError):
-        analyze_waveform(utterance, order=23)
+        analyze_waveform(utterance, AnalysisSettings(order=23))
     with pytest.raises(ValueError):
-        analyze_waveform(utterance, order=0)
+        analyze_waveform(utterance, AnalysisSettings(order=0))
 
 
 def test_analyze_geometry(utterance):
@@ -83,7 +85,7 @@ def test_analyze_resynthesize_identity(utterance):
     reproduces the pre-emphasized signal over the covered span."""
     feats, resid = analyze_waveform(utterance)
     out = _resynthesize(feats, resid)
-    pre = preemphasize(utterance, feats.alpha)
+    pre = preemphasize(utterance, feats.settings.alpha)
     covered = len(feats) * resid.hop
     assert np.max(np.abs(out.samples - pre.samples[:covered])) <= 1e-6
 
@@ -101,18 +103,58 @@ def test_feature_file_round_trip(tmp_path, utterance):
     np.testing.assert_array_equal(feats2.gains, feats.gains)
     np.testing.assert_array_equal(resid2.segments, resid.segments)
     assert feats2.sample_rate == feats.sample_rate
-    assert feats2.order == feats.order
-    assert feats2.frame_ms == feats.frame_ms
-    assert feats2.hop_ms == feats.hop_ms
-    assert feats2.alpha == feats.alpha
-    assert feats2.sigma == feats.sigma
+    assert feats2.settings == feats.settings
     assert feats2.fallbacks == feats.fallbacks
 
     # end to end through the text files: still bit-faithful resynthesis
     out = _resynthesize(feats2, resid2)
-    pre = preemphasize(utterance, feats.alpha)
+    pre = preemphasize(utterance, feats.settings.alpha)
     covered = len(feats2) * resid2.hop
     assert np.max(np.abs(out.samples - pre.samples[:covered])) <= 1e-6
+
+
+def _edge_input(kind, rate, seconds=0.3):
+    rng = np.random.default_rng(rate)
+    t = np.arange(int(seconds * rate)) / rate
+    samples = {
+        "silence": np.zeros_like(t),
+        "tone": 0.5 * np.sin(2 * np.pi * 440.0 * t),
+        "clipped": np.clip(3.0 * np.sign(np.sin(2 * np.pi * 150.0 * t)), -0.9, 0.9),
+        "noise": 0.3 * rng.standard_normal(len(t)),
+    }[kind]
+    return Waveform(samples=samples, sample_rate=rate)
+
+
+@pytest.mark.parametrize("kind, rate", [
+    ("silence", 11025), ("tone", 11025), ("clipped", 11025), ("noise", 11025),
+    ("noise", 8000), ("noise", 48000)])
+def test_analyze_edge_inputs(tmp_path, kind, rate):
+    wave = _edge_input(kind, rate)
+    feats, resid = analyze_waveform(wave)
+    frame, hop = int(25.0 * rate / 1000), int(5.0 * rate / 1000)
+    assert len(feats) == len(resid) == 1 + (len(wave) - frame) // hop
+    assert np.isfinite(feats.gains).all() and np.isfinite(resid.segments).all()
+    assert all(validate_lsf(row) for row in feats.lsf)
+    assert feats.fallbacks == feats.degenerate == 0
+
+    path = tmp_path / "edge.csv"
+    write_features(feats, path)
+    back = read_features(path)
+    np.testing.assert_array_equal(back.lsf, feats.lsf)
+    np.testing.assert_array_equal(back.gains, feats.gains)
+    assert back.settings == feats.settings == AnalysisSettings()
+    assert (back.sample_rate, back.fallbacks, back.degenerate) == (rate, 0, 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "in.wav", "--features", "f.csv"],
+    ["train", "--source", "s", "--target", "t", "--model-out", "m"],
+    ["convert", "m", "in.wav", "out.wav"],
+    ["evaluate", "--source", "s", "--target", "t", "--converted", "c", "--out", "r"],
+    ["poles", "in.wav", "--out", "p.csv"]])
+def test_parser_analysis_defaults_are_the_settings_defaults(argv):
+    args = build_parser().parse_args(argv)
+    assert AnalysisSettings.from_args(args) == AnalysisSettings()
 
 
 def test_feature_file_layout(tmp_path, utterance):
@@ -196,6 +238,23 @@ def test_read_features_rejects_bad_fallbacks_header(tmp_path, utterance):
         read_features(path)
 
 
+@pytest.mark.parametrize("row", [0, 1, -1])
+def test_read_residuals_rejects_non_finite_values(tmp_path, utterance, row):
+    _, resid = analyze_waveform(utterance)
+    path = tmp_path / "u.resid.csv"
+    write_residuals(resid, path)
+    lines = path.read_text().splitlines()
+    header = sum(ln.startswith("#") for ln in lines)
+    rows = lines[header:]  # the initial state, then one row per segment
+    cells = rows[row].split(",")
+    cells[1] = "nan" if row else "inf"
+    rows[row] = ",".join(cells)
+    path.write_text("\n".join(lines[:header] + rows) + "\n")
+    where = f"segment {row % len(rows) - 1}" if row else "initial state"
+    with pytest.raises(FeatureFormatError, match=where):
+        read_residuals(path)
+
+
 def test_feature_file_counts_degenerate_frames(monkeypatch, tmp_path, utterance):
     real = vconv.cli.analyze_track
 
@@ -255,10 +314,10 @@ def test_analyze_falls_back_on_failed_frame(monkeypatch, utterance, bad):
 
 def test_map_features_identity_model(utterance):
     feats, _ = analyze_waveform(utterance)
-    coeffs, stats = map_features(_identity_model(), feats)
-    assert stats.total_frames == len(feats)
-    assert stats.unstable_frames == 0
-    assert stats.fallback_frames == 0
+    coeffs = map_features(_identity_model(), feats)
+    assert len(coeffs) == len(feats)
+    assert stable_rows(coeffs).all()
+    assert feats.fallbacks == 0
     # identity mapping reproduces the stored filters exactly when no
     # frequency pair needs rectification
     for i in (0, len(coeffs) // 2, len(coeffs) - 1):
@@ -279,9 +338,9 @@ def test_map_features_rectifies_lsf_output(utterance):
     feats, _ = analyze_waveform(utterance)
     junk = MlpModel(weights=[np.zeros((24, 24))],
                     biases=[np.linspace(0.9, 0.1, 24)])  # descending output
-    coeffs, stats = map_features(junk, feats)
-    assert stats.unstable_frames == 0
-    assert stats.total_frames == len(feats)
+    coeffs = map_features(junk, feats)
+    assert stable_rows(coeffs).all()
+    assert len(coeffs) == len(feats)
 
 
 def test_synthesize_mutes_overflow():
@@ -330,7 +389,7 @@ def test_cli_convert_with_identity_model(tmp_path, utterance):
     # identity mapping plus exact residuals: output approximates the input
     # round trip to within one quantization step
     feats, resid = analyze_waveform(read_wav(wav))
-    baseline = deemphasize(_resynthesize(feats, resid), feats.alpha)
+    baseline = deemphasize(_resynthesize(feats, resid), feats.settings.alpha)
     converted = read_wav(out_path)
     assert len(converted) == len(feats) * resid.hop
     assert np.max(np.abs(converted.samples - baseline.samples)) <= 1.5 / 32768

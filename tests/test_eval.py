@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vconv.align import dtw_align
 from vconv.eval import (
     ZeroBaselineError,
     conversion_report,
@@ -65,6 +66,19 @@ def test_mcd_sequences_aligns_lengths():
     t = np.array([[0.0], [1.0]])
     p = np.array([[0.0], [0.0], [1.0]])
     assert mcd_sequences(t, p) == 0.0
+
+
+def test_mcd_sequences_equals_mean_of_path_cells_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for _ in range(120):
+        dims = int(rng.integers(1, 41))
+        t = rng.uniform(0, 1, size=(int(rng.integers(1, 151)), dims))
+        p = rng.uniform(0, 1, size=(int(rng.integers(1, 151)), dims))
+        if rng.random() < 0.3:  # tie-heavy inputs
+            t, p = np.round(t * 3) / 3, np.round(p * 3) / 3
+        cells = dtw_align(t, p).path
+        assert mcd_sequences(t, p) == float(
+            np.mean([mcd_frame(t[i], p[j]) for i, j in cells]))
 
 
 def test_conversion_report_perfect_conversion():

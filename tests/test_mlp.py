@@ -297,6 +297,18 @@ def test_load_rejects_garbage_values(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_load_rejects_non_finite_parameters(tmp_path, value):
+    model = init_mlp([2, 3, 1], seed=0)
+    path = tmp_path / "net.mlp"
+    save_model(model, path)
+    lines = path.read_text().splitlines()
+    lines[3] = " ".join([value] + lines[3].split()[1:])  # bias of hidden unit 1
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError, match="line 4"):
+        load_model(path)
+
+
 def test_load_rejects_empty_file(tmp_path):
     path = tmp_path / "net.mlp"
     path.write_text("")
