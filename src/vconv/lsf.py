@@ -9,9 +9,11 @@ P carries a trivial root at z = -1 and Q one at z = +1; after deflating
 those, each polynomial has p/2 conjugate root pairs exactly on the unit
 circle whose angles interleave.  The merged ascending angles are the LSF
 vector; the filter is stable iff the angles are strictly ascending in
-(0, pi).  Root angles are located by evaluating the deflated polynomials'
-real cosine form on a uniform grid and bisecting each sign change
-(Kabal & Ramachandran, IEEE TASSP 34(6), 1986).
+(0, pi).  On the unit circle each deflated polynomial is, up to a phase
+factor, a cosine form G(w) = sum_k g_k cos(k w) = sum_k g_k T_k(x), a
+Chebyshev series in x = cos(w) (Kabal & Ramachandran, IEEE TASSP 34(6),
+1986).  Its roots x are the eigenvalues of the series' colleague matrix
+(I. J. Good, Q. J. Math. 12, 1961); the root angles are arccos(x).
 
 Both directions work on a whole track, a (frames, order) array, at once;
 a single frame is a one-row track of the same code.
@@ -19,20 +21,12 @@ a single frame is a one-row track of the same code.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .lpc import LpcFrame
 
 MIN_GAP = 1e-4  # smallest admissible spacing between adjacent frequencies
-GRID_SIZE = 4096  # uniform subintervals of (0, pi) scanned for sign changes
-_BISECT_TOL = 1e-13  # interval width at which bisection stops
-# The working set stays bounded whatever the track length: frames are
-# bisected 64 at a time, and their cosine forms scanned 16 rows at a time
-# (each row's grid values take 32 KB)
-_BLOCK_FRAMES = 64
-_SCAN_ROWS = 16
+_BLOCK_FRAMES = 32  # frames per solve: bounds the working set of a track
 
 
 class LsfConversionError(ValueError):
@@ -42,16 +36,6 @@ class LsfConversionError(ValueError):
 def _check_order(p: int) -> None:
     if p % 2 != 0 or p == 0:
         raise ValueError(f"only even orders are supported, got {p}")
-
-
-@functools.lru_cache(maxsize=4)
-def _grid(terms: int):
-    """Grid angles and the table cos(k * omega) for k < terms, read-only."""
-    omega = np.linspace(0.0, np.pi, GRID_SIZE + 1)
-    table = np.cos(np.outer(np.arange(terms), omega))
-    omega.flags.writeable = False
-    table.flags.writeable = False
-    return omega, table
 
 
 def _cosine_forms(coeffs: np.ndarray) -> np.ndarray:
@@ -81,59 +65,40 @@ def _cosine_forms(coeffs: np.ndarray) -> np.ndarray:
     return g
 
 
-def _cosine_roots(g: np.ndarray, expected: int):
-    """Ascending angles in (0, pi) where each row's cosine form crosses zero.
+def _cosine_roots(g: np.ndarray):
+    """Ascending angles in (0, pi) where each row's cosine form vanishes.
 
-    Returns (angles, ok): rows of `angles` whose root count is not
-    `expected` are NaN and false in `ok`.  Every value is one row's own
-    matrix-vector product, stacked, so a row gets the same roots, bit for
-    bit, whatever rows share its call.
+    A row whose form has a root off the real segment -1 < x < 1 is a NaN
+    row.  The colleague matrices are, up to rounding, the ones
+    numpy.polynomial.chebyshev.chebcompanion builds, one per row; their
+    divisor, the leading weight g[:, -1], is 2 in every row.  LAPACK solves
+    each matrix on its own, so a row gets the same roots, bit for bit,
+    whatever rows share its call.
     """
-    omega, table = _grid(g.shape[1])
-    ok = np.empty(len(g), dtype=bool)
-    lo, hi, vlo = [], [], []
-    for start in range(0, len(g), _SCAN_ROWS):
-        rows = slice(start, start + _SCAN_ROWS)
-        values = np.matmul(g[rows, None, :], table)[:, 0]
-        change = values[:, :-1] * values[:, 1:] < 0.0
-        exact = values[:, 1:-1] == 0.0  # grid point is a root
-        ok[rows] = change.sum(axis=1) + exact.sum(axis=1) == expected
-        # a root on grid point j is the empty bracket [omega[j], omega[j]],
-        # which keeps each row's brackets in ascending order
-        change[:, 1:] |= exact
-        r, c = np.nonzero(change & ok[rows, None])
-        lo.append(omega[c])
-        vlo.append(values[r, c])
-        hi.append(omega[c + (vlo[-1] != 0.0)])
-    lo, hi, vlo = (np.concatenate(v).reshape(-1, expected) for v in (lo, hi, vlo))
-
-    weights = g[ok, None, :]
-    k = np.arange(g.shape[1])
-    cosines = np.empty((len(lo), len(k), expected))
-    cosines[:, 0] = 1.0  # cos(0 * w)
-    while np.max(hi - lo, initial=0.0) > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        cosines[:, 1:] = np.cos(k[1:, None] * mid[:, None, :])
-        vmid = np.matmul(weights, cosines)[:, 0]
-        take_lo = np.sign(vmid) == np.sign(vlo)
-        lo = np.where(take_lo, mid, lo)
-        vlo = np.where(take_lo, vmid, vlo)
-        hi = np.where(take_lo, hi, mid)
-
-    angles = np.full((len(g), expected), np.nan)
-    angles[ok] = 0.5 * (lo + hi)
-    return angles, ok
+    m = g.shape[1] - 1
+    scale = np.full(m, np.sqrt(0.5))
+    scale[0] = 1.0  # x T_0 = T_1 lacks the 1/2 of x T_k = (T_k-1 + T_k+1) / 2
+    colleague = np.zeros((len(g), m, m))
+    i = np.arange(m - 1)
+    colleague[:, i, i + 1] = colleague[:, i + 1, i] = scale[:-1] * scale[1:]
+    colleague[:, :, -1] -= g[:, :-1] / g[:, -1:] * (scale * scale[-1])
+    x = np.linalg.eigvals(colleague)
+    real = np.all((x.imag == 0.0) & (np.abs(x.real) < 1.0), axis=1)
+    angles = np.full((len(g), m), np.nan)
+    angles[real] = np.sort(np.arccos(x[real].real), axis=1)
+    return angles
 
 
 def _block_to_lsf(coeffs: np.ndarray) -> np.ndarray:
     """LSF rows of a block of frames; a frame that fails a check is a NaN row."""
-    half = coeffs.shape[1] // 2
-    angles, ok = _cosine_roots(_cosine_forms(coeffs), half)
+    finite = np.all(np.isfinite(coeffs), axis=1)
+    # a non-finite frame reaches neither the deflation nor the solver
+    angles = _cosine_roots(_cosine_forms(np.where(finite[:, None], coeffs, 0.0)))
     omegas_p, omegas_q = angles[0::2], angles[1::2]
     lsf = np.empty(coeffs.shape)
     lsf[:, 0::2] = omegas_p
     lsf[:, 1::2] = omegas_q
-    valid = (ok[0::2] & ok[1::2]
+    valid = (finite
              & np.all(omegas_p < omegas_q, axis=1)  # P and Q roots interleave
              & np.all(omegas_q[:, :-1] < omegas_p[:, 1:], axis=1)
              & _ascending_rows(lsf))
@@ -163,8 +128,8 @@ def lpc_to_lsf(lpc):
         return lsf
     if np.isnan(lsf[0, 0]):
         raise LsfConversionError(
-            "no valid LSF vector: the filter is unstable, two roots are "
-            "closer than the grid, or the root angles do not interleave")
+            "no valid LSF vector: the filter is unstable or not finite, "
+            "or its root angles do not interleave")
     return lsf[0]
 
 
