@@ -203,23 +203,31 @@ def _noise_track(seed, frames=40, order=24):
                      for _ in range(frames)])
 
 
+def _assert_track_matches_frames_and_numpy_roots(track):
+    lsf = lpc_to_lsf(track)
+    assert lsf.shape == track.shape
+    for row, coeffs in zip(lsf, track):
+        # a track row is the one-frame result bit for bit
+        np.testing.assert_array_equal(
+            row, lpc_to_lsf(LpcFrame(coefficients=coeffs, gain=1.0)))
+        assert np.max(np.abs(row - _roots_lsf(coeffs))) <= 1e-12
+
+
 def test_track_matches_single_frames_and_numpy_roots():
     rng = np.random.default_rng(47)
     lattice = np.stack([_random_lsf(rng, 24) for _ in range(20)])
+    _assert_track_matches_frames_and_numpy_roots(
+        np.concatenate([_noise_track(48), lsf_to_lpc(lattice)]))
+
+
+def test_track_matches_per_frame_reference_bit_for_bit():
+    """Speech and noise frames in one track: each row is the one-frame
+    conversion bit for bit and numpy.roots within 1e-12."""
     src, _ = utterance_pair_specs("M1", "F2", 0.3, 11025, pair_seed=52)
     speech = frame_signal(preemphasize(synthesize_utterance(src, 0.3, 11025)))
-    for track in (np.concatenate([_noise_track(48), lsf_to_lpc(lattice)]),
-                  np.concatenate([
-                      np.stack([analyze_frame(f, 24).coefficients
-                                for f in speech.frames]),
-                      _noise_track(53)])):
-        lsf = lpc_to_lsf(track)
-        assert lsf.shape == track.shape
-        for row, coeffs in zip(lsf, track):
-            # a track row is the one-frame result bit for bit
-            np.testing.assert_array_equal(
-                row, lpc_to_lsf(LpcFrame(coefficients=coeffs, gain=1.0)))
-            assert np.max(np.abs(row - _roots_lsf(coeffs))) <= 1e-12
+    _assert_track_matches_frames_and_numpy_roots(np.concatenate([
+        np.stack([analyze_frame(f, 24).coefficients for f in speech.frames]),
+        _noise_track(53)]))
 
 
 def test_ill_conditioned_rows_round_trip():
