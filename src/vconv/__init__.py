@@ -11,10 +11,9 @@ with a cepstral-distortion style metric on the parameter tracks.
 from .align import DtwAlignment, StaleAlignmentError, dtw_align, pair_frames
 from .eval import (ConversionReport, ZeroBaselineError, conversion_report,
                    mcd_frame, mcd_sequences)
-from .lpc import (FilterUnstableError, LpcFrame, LpcTrack,
-                  RootConvergenceError, analyze_frame, analyze_track,
-                  autocorrelate, inverse_filter, levinson_durbin, lpc_poles,
-                  stable_rows, synthesis_filter)
+from .lpc import (FilterUnstableError, LpcFrame, LpcTrack, analyze_frame,
+                  analyze_track, autocorrelate, inverse_filter,
+                  levinson_durbin, lpc_poles, stable_rows, synthesis_filter)
 from .lsf import (LsfConversionError, lpc_to_lsf, lsf_to_lpc, rectify_lsf,
                   validate_lsf)
 from .mlp import (MlpModel, ModelDimensionError, ModelFormatError,

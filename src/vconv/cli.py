@@ -21,8 +21,8 @@ import numpy as np
 
 from .align import dtw_align, pair_frames
 from .eval import ConversionReport, conversion_report
-from .lpc import (LpcFrame, RootConvergenceError, analyze_track,
-                  inverse_filter, lpc_poles, stable_rows, synthesis_filter)
+from .lpc import (analyze_track, inverse_filter, lpc_poles, stable_rows,
+                  synthesis_filter)
 from .lsf import lpc_to_lsf, lsf_to_lpc, rectify_lsf, validate_lsf
 from .mlp import MlpModel, TrainConfig, forward, init_mlp, load_model, save_model, train
 from .signal_io import (Waveform, deemphasize, frame_signal, hop_segments,
@@ -303,14 +303,9 @@ def write_report(entries, path) -> None:
 
 def write_poles(coeffs, path) -> None:
     """CSV of the pole coordinates of every row of a (frames, order)
-    predictor track; rows that defeat the root finder contribute its best
-    iterate."""
+    predictor track, each frame's poles in lpc_poles order."""
     lines = [POLES_HEADER]
-    for i, row in enumerate(coeffs):
-        try:
-            poles = lpc_poles(LpcFrame(coefficients=row, gain=1.0))
-        except RootConvergenceError as err:
-            poles = err.roots
+    for i, poles in enumerate(lpc_poles(coeffs)):
         for z in poles:
             lines.append(f"{i},{_g(z.real)},{_g(z.imag)},{_g(abs(z))}")
     with open(path, "w") as fh:

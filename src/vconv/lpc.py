@@ -14,14 +14,12 @@ import numpy as np
 SILENCE_FLOOR = 1e-12
 UNSTABLE_LIMIT = 1e12
 
-_DK_MOVE_TOL = 1e-12
-_DK_MAX_ITER = 1000
-_DK_RESIDUAL_TOL = 1e-8
-
 # synthesis works on this many frames at a time, so its working set stays
 # bounded whatever the track length: at order 24 and a 240-sample hop
 # (48 kHz) a block's responses take 3.4 MB
 _SYNTHESIS_BLOCK = 64
+# frames per pole solve, for the same reason
+_POLE_BLOCK = 64
 
 
 class FilterUnstableError(RuntimeError):
@@ -35,14 +33,6 @@ class FilterUnstableError(RuntimeError):
         super().__init__(message)
         self.output = output
         self.state = state
-
-
-class RootConvergenceError(RuntimeError):
-    """Durand-Kerner iteration failed to converge; carries the best iterate."""
-
-    def __init__(self, message, roots=None):
-        super().__init__(message)
-        self.roots = roots
 
 
 @dataclass
@@ -271,50 +261,36 @@ def stable_rows(coefficients) -> np.ndarray:
     return stable
 
 
-def _horner(coeffs, z):
-    v = np.zeros_like(z)
-    for c in coeffs:
-        v = v * z + c
-    return v
+def lpc_poles(lpc) -> np.ndarray:
+    """Poles of 1/A(z): the roots of z^p - a_1 z^(p-1) - ... - a_p.
 
-
-def lpc_poles(lpc: LpcFrame) -> np.ndarray:
-    """Roots of z^p - a_1 z^(p-1) - ... - a_p via Durand-Kerner iteration.
-
-    Starts from points on a perturbed circle of radius 1 + max|coef| and
-    iterates all roots simultaneously until the largest movement is below
-    1e-12 (at most 1000 iterations).  Every returned root must satisfy
-    |poly(root)| <= 1e-8, else RootConvergenceError carries the best iterate.
+    `lpc` is one LpcFrame, giving its (p,) poles, or a track's (frames, p)
+    coefficients, giving (frames, p) poles.  A row's poles are the
+    eigenvalues of its companion matrix, first row a_1..a_p and ones on the
+    subdiagonal (Edelman & Murakami, Math. Comp. 64, 1995), the matrix
+    numpy.roots builds; they are sorted by real part, then imaginary part,
+    and a complex pole's exact conjugate is in the same row.  A row with a
+    non-finite coefficient gets NaN poles.  One np.linalg.eigvals call
+    solves _POLE_BLOCK frames; LAPACK solves each matrix on its own, so a
+    row's poles do not depend on the other rows.
     """
-    p = lpc.order
+    single = isinstance(lpc, LpcFrame)
+    coeffs = np.atleast_2d(np.asarray(lpc.coefficients if single else lpc,
+                                      dtype=np.float64))
+    if coeffs.ndim != 2:
+        raise ValueError(f"expected a (frames, order) array, got shape {coeffs.shape}")
+    n, p = coeffs.shape
     if p < 1:
         raise ValueError("need order >= 1 to compute poles")
-    coeffs = np.concatenate([[1.0], -np.asarray(lpc.coefficients, dtype=np.float64)])
-    coeffs = coeffs.astype(np.complex128)
-
-    radius = 1.0 + np.max(np.abs(coeffs[1:]))
-    angles = 2.0 * np.pi * np.arange(p) / p + 0.4  # offset breaks conjugate symmetry
-    z = radius * np.exp(1j * angles)
-
-    for _ in range(_DK_MAX_ITER):
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        denom = diff.prod(axis=1)
-        if np.any(denom == 0):
-            z = z + 1e-12 * np.exp(1j * np.arange(p))
-            continue
-        step = _horner(coeffs, z) / denom
-        z = z - step
-        if np.max(np.abs(step)) <= _DK_MOVE_TOL:
-            break
-
-    # the movement threshold is only the stop rule; near the unit circle at
-    # high order the steps bottom out around 1e-11 on rounding noise while
-    # the roots are already exact to machine precision, so acceptance rests
-    # on the polynomial residual alone
-    z = np.sort_complex(z)
-    residual = np.max(np.abs(_horner(coeffs, z)))
-    if residual > _DK_RESIDUAL_TOL:
-        raise RootConvergenceError(
-            f"root finding did not converge (residual {residual:.3g})", roots=z)
-    return z
+    poles = np.empty((n, p), dtype=np.complex128)
+    companion = np.zeros((min(n, _POLE_BLOCK), p, p))
+    companion[:, 1:, :-1] = np.eye(p - 1)
+    for start in range(0, n, _POLE_BLOCK):
+        rows = coeffs[start:start + _POLE_BLOCK]
+        finite = np.all(np.isfinite(rows), axis=1)
+        block = companion[:len(rows)]
+        block[:, 0] = np.where(finite[:, None], rows, 0.0)  # LAPACK rejects NaN
+        roots = np.sort(np.linalg.eigvals(block), axis=1)
+        roots[~finite] = np.nan
+        poles[start:start + len(rows)] = roots
+    return poles[0] if single else poles

@@ -91,15 +91,19 @@ def _cosine_roots(g: np.ndarray):
 
 def _block_to_lsf(coeffs: np.ndarray) -> np.ndarray:
     """LSF rows of a block of frames; a frame that fails a check is a NaN row."""
-    finite = np.all(np.isfinite(coeffs), axis=1)
-    # a non-finite frame reaches neither the deflation nor the solver
-    angles = _cosine_roots(_cosine_forms(np.where(finite[:, None], coeffs, 0.0)))
+    # non-finite coefficients give non-finite forms, and so may huge finite
+    # ones by overflow; such a frame reaches no solver and stays NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _cosine_forms(coeffs)
+    finite = np.all(np.isfinite(g).reshape(len(coeffs), -1), axis=1)
+    solve = np.repeat(finite, 2)  # rows 2f and 2f + 1 of g are frame f's
+    angles = np.full((len(g), g.shape[1] - 1), np.nan)
+    angles[solve] = _cosine_roots(g[solve])
     omegas_p, omegas_q = angles[0::2], angles[1::2]
     lsf = np.empty(coeffs.shape)
     lsf[:, 0::2] = omegas_p
     lsf[:, 1::2] = omegas_q
-    valid = (finite
-             & np.all(omegas_p < omegas_q, axis=1)  # P and Q roots interleave
+    valid = (np.all(omegas_p < omegas_q, axis=1)  # P and Q roots interleave
              & np.all(omegas_q[:, :-1] < omegas_p[:, 1:], axis=1)
              & _ascending_rows(lsf))
     lsf[~valid] = np.nan

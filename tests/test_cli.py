@@ -576,6 +576,35 @@ def test_cli_convert_mutes_every_blown_up_segment(tmp_path, utterance,
     assert not np.any(converted.samples)
 
 
+@pytest.mark.parametrize("weight, bias0", [(0.0, 3.0), (1.1, 0.0)],
+                         ids=["pole_at_3", "scaled_1.1"])
+def test_cli_poles_out_counts_the_unstable_frames(tmp_path, utterance, capsys,
+                                                   weight, bias0):
+    """The frames of --poles-out with a pole on or outside the unit circle
+    are the frames that the convert line counts unstable: all of them for
+    a_1 = 3, some of them for predictors scaled by 1.1."""
+    from vconv.signal_io import write_wav
+    wav = tmp_path / "u.wav"
+    write_wav(utterance, wav)
+    bias = np.zeros(24)
+    bias[0] = bias0
+    model_path = tmp_path / "raw.mlp"
+    save_model(MlpModel(weights=[weight * np.eye(24)], biases=[bias]),
+               model_path)
+    poles_path = tmp_path / "p.csv"
+    capsys.readouterr()
+    assert main(["convert", str(model_path), str(wav), str(tmp_path / "c.wav"),
+                 "--raw-lpc", "--poles-out", str(poles_path)]) == 0
+    fields = capsys.readouterr().out.split(": ")[1].split(", ")
+    frames, unstable = (int(f.split()[0]) for f in fields[:2])
+    rows = np.loadtxt(poles_path, delimiter=",", skiprows=1)
+    assert len(rows) == frames * 24
+    outside = np.unique(rows[rows[:, 3] >= 1.0, 0])
+    assert len(outside) == unstable
+    assert 0 < unstable <= frames
+    assert (unstable == frames) == (weight == 0.0)
+
+
 def test_cli_rejects_mismatched_analysis_settings(tmp_path, capsys):
     from vconv.signal_io import write_wav
     src_spec, _ = utterance_pair_specs("M1", "M2", 0.3, 11025,
