@@ -23,14 +23,23 @@ class DtwAlignment:
     total_cost: float  # sum of local distances over the path cells
 
 
+_BAND_CELLS = 65536  # distance cells per band of rows
+
+
 def _euclidean_distances(a, b) -> np.ndarray:
     """(n, m) distances between the rows of a and of b: the squares are
-    summed one dimension at a time, in the order cdist sums them."""
+    summed one dimension at a time, in the order cdist sums them, over
+    bands of rows that share one scratch array of about _BAND_CELLS."""
     local = np.zeros((a.shape[0], b.shape[0]))
-    for k in range(a.shape[1]):
-        d = np.subtract.outer(a[:, k], b[:, k])
-        d *= d
-        local += d
+    rows = max(1, _BAND_CELLS // b.shape[0])
+    scratch = np.empty((min(rows, a.shape[0]), b.shape[0]))
+    for start in range(0, a.shape[0], rows):
+        band = local[start:start + rows]
+        d = scratch[:band.shape[0]]
+        for k in range(a.shape[1]):
+            np.subtract.outer(a[start:start + rows, k], b[:, k], out=d)
+            d *= d
+            band += d
     return np.sqrt(local, out=local)
 
 

@@ -377,9 +377,7 @@ def cmd_train(args) -> int:
             pairs.extend(pair_frames(alignment, fs.normalized, ft.normalized))
 
     model = init_mlp(sizes, args.seed)
-    config = TrainConfig(learning_rate=args.lr, momentum=args.momentum,
-                         max_epochs=args.epochs)
-    trained, report = train(model, pairs, config)
+    trained, report = train(model, pairs, TrainConfig(max_epochs=args.epochs))
     save_model(trained, args.model_out)
     mse_out = args.mse_out or str(args.model_out) + ".mse.csv"
     with open(mse_out, "w") as fh:
@@ -494,9 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mse-out", help="epoch/MSE CSV (default MODEL.mse.csv)")
     p.add_argument("--arch", type=_parse_arch, default=[24, 50, 24],
                    help="layer sizes, e.g. 24-50-24")
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--epochs", type=int, default=5000)
+    p.add_argument("--epochs", type=int, default=5000,
+                   help="cap on L-BFGS iterations")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--raw-lpc", action="store_true",
                    help="map predictor coefficients instead of LSF")

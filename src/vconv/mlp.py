@@ -1,7 +1,7 @@
 """Small fully connected network for frame-wise spectral mapping.
 
-Hidden layers use tanh, the output layer is linear.  Training is plain
-full-batch gradient descent with classical momentum; the per-sample loss
+Hidden layers use tanh, the output layer is linear.  Training is
+full-batch L-BFGS over one flat parameter vector; the per-sample loss
 is the squared error summed over output dimensions and the reported MSE
 is its mean over the training pairs.  Everything is deterministic given
 the init seed, so identical runs produce identical parameter files.
@@ -9,7 +9,6 @@ the init seed, so identical runs produce identical parameter files.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,28 +46,19 @@ class MlpModel:
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    max_epochs: int = 5000
-    convergence_delta: float = 1e-8
+    max_epochs: int = 5000  # cap on L-BFGS iterations
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
-        if self.convergence_delta < 0:
-            raise ValueError("convergence_delta must be non-negative")
 
 
 @dataclass
 class TrainReport:
-    epochs_run: int  # parameter updates applied
+    epochs_run: int  # L-BFGS iterations accepted
     final_mse: float
-    mse_history: np.ndarray  # MSE measured after each update; len == epochs_run
-    converged: bool  # stopped on the loss-change threshold, not the cap
+    mse_history: np.ndarray  # MSE after each iteration; len == epochs_run
+    converged: bool  # stopped on a plateau or a failed line search, not the cap
 
 
 def init_mlp(layer_sizes, seed: int = 42) -> MlpModel:
@@ -136,12 +126,99 @@ def compute_gradients(model: MlpModel, x, target):
     return grads_w, grads_b, loss
 
 
+def _flatten(model: MlpModel) -> np.ndarray:
+    """One vector of every layer's weights (row-major), then its biases."""
+    return np.concatenate([part for w, b in zip(model.weights, model.biases)
+                           for part in (w.ravel(), b)])
+
+
+def _unflatten(theta: np.ndarray, sizes) -> MlpModel:
+    """A model whose weights and biases are views into `theta`."""
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(theta[pos:pos + fan_out * fan_in].reshape(fan_out, fan_in))
+        pos += fan_out * fan_in
+        biases.append(theta[pos:pos + fan_out])
+        pos += fan_out
+    return MlpModel(weights=weights, biases=biases)
+
+
+class _BatchLoss:
+    """Training MSE of a fixed batch and its gradient, as a function of the
+    flat parameter vector; the arithmetic of `_forward_all` and `_backprop`,
+    run in buffers allocated once."""
+
+    def __init__(self, sizes, x: np.ndarray, t: np.ndarray):
+        self.sizes, self.x, self.t = sizes, x, t
+        n = x.shape[0]
+        self.acts = [x] + [np.empty((n, s)) for s in sizes[1:]]
+        self.deltas = [np.empty((n, s)) for s in sizes[1:]]  # d(loss)/d(z_l)
+        self.slopes = [np.empty((n, s)) for s in sizes[1:-1]]  # 1 - tanh^2
+
+    def __call__(self, theta: np.ndarray, grad: np.ndarray) -> float:
+        """MSE at `theta`; its gradient is written into `grad`."""
+        net, dnet = _unflatten(theta, self.sizes), _unflatten(grad, self.sizes)
+        acts, deltas = self.acts, self.deltas
+        last = len(net.weights) - 1
+        for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+            z = acts[l + 1]
+            np.matmul(acts[l], w.T, out=z)
+            z += b
+            if l < last:
+                np.tanh(z, out=z)
+        delta = deltas[last]
+        np.subtract(acts[-1], self.t, out=delta)
+        n = self.x.shape[0]
+        mse = float(np.vdot(delta, delta)) / n
+        delta *= 2.0 / n
+        for l in range(last, -1, -1):
+            delta = deltas[l]
+            np.matmul(delta.T, acts[l], out=dnet.weights[l])
+            np.sum(delta, axis=0, out=dnet.biases[l])
+            if l > 0:
+                slope = self.slopes[l - 1]
+                np.multiply(acts[l], acts[l], out=slope)
+                np.subtract(1.0, slope, out=slope)
+                np.matmul(delta, net.weights[l], out=deltas[l - 1])
+                deltas[l - 1] *= slope
+        return mse
+
+
+_MEMORY = 10  # curvature pairs kept
+_MIN_CURVATURE = 1e-12  # a pair with s.y at or below this is not stored
+_ARMIJO_C1 = 1e-4
+_MAX_HALVINGS = 40
+_PLATEAU_SPAN = 10  # iterations over which the relative decrease is judged
+_PLATEAU_TOL = 3e-3
+
+
+def _direction(grad: np.ndarray, memory: list) -> np.ndarray:
+    """-H grad by the L-BFGS two-loop recursion over (s, y, 1/s.y) pairs,
+    oldest first, with H0 = (s.y / y.y) I from the newest pair."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(memory):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    if memory:
+        s, y, _ = memory[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y, rho), alpha in zip(memory, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return np.negative(q, out=q)
+
+
 def train(model: MlpModel, pairs,
           config: TrainConfig | None = None) -> tuple:
     """Train a copy of `model` on (input, target) pairs; argument untouched.
 
-    Stops when the MSE change between consecutive epochs falls below
-    convergence_delta, or at max_epochs.
+    Full-batch L-BFGS (Liu & Nocedal 1989; Nocedal & Wright Alg. 7.4) with
+    Armijo backtracking that halves the step from 1, or from
+    min(1, 1/||g||_1) while no curvature pair is stored; a non-finite trial
+    loss fails the step.  Stops on a plateau, when the MSE of the last
+    10 iterations fell by no more than 3e-3 of its current value; when
+    40 halvings find no step; or at max_epochs iterations.  The first two
+    count as converged.
     """
     cfg = config or TrainConfig()
     pair_list = list(pairs)
@@ -156,39 +233,51 @@ def train(model: MlpModel, pairs,
         raise ValueError(f"pair dims {x.shape[1]}->{t.shape[1]} do not match "
                          f"model {sizes[0]}->{sizes[-1]}")
 
-    net = copy.deepcopy(model)
-    n = x.shape[0]
-    vel_w = [np.zeros_like(w) for w in net.weights]
-    vel_b = [np.zeros_like(b) for b in net.biases]
-
-    acts = _forward_all(net, x)
+    loss = _BatchLoss(sizes, x, t)
+    theta = _flatten(model)
+    trial, grad, trial_grad = (np.empty_like(theta) for _ in range(3))
+    # a point may overflow; its loss is then inf or NaN, which raises at the
+    # start and fails the Armijo test at a trial point
     with np.errstate(over="ignore", invalid="ignore"):
-        prev_mse = float(np.mean(np.sum((acts[-1] - t) ** 2, axis=1)))
-    if not np.isfinite(prev_mse):
-        raise TrainingDivergedError(0)
-    history = []
-    converged = False
-    for epoch in range(1, cfg.max_epochs + 1):
-        grads_w, grads_b = _backprop(net, acts, (2.0 / n) * (acts[-1] - t))
-        for l in range(len(net.weights)):
-            vel_w[l] = cfg.momentum * vel_w[l] - cfg.learning_rate * grads_w[l]
-            vel_b[l] = cfg.momentum * vel_b[l] - cfg.learning_rate * grads_b[l]
-            net.weights[l] += vel_w[l]
-            net.biases[l] += vel_b[l]
-        acts = _forward_all(net, x)
-        # overflow here is the divergence signal, not an error in itself
-        with np.errstate(over="ignore", invalid="ignore"):
-            mse = float(np.mean(np.sum((acts[-1] - t) ** 2, axis=1)))
+        mse = loss(theta, grad)
         if not np.isfinite(mse):
-            raise TrainingDivergedError(epoch)
-        history.append(mse)
-        if abs(prev_mse - mse) < cfg.convergence_delta:
-            converged = True
-            break
-        prev_mse = mse
-    report = TrainReport(epochs_run=len(history), final_mse=history[-1],
-                         mse_history=np.asarray(history), converged=converged)
-    return net, report
+            raise TrainingDivergedError(0)
+        mses = [mse]  # before the first iteration, then after each
+        memory = []
+        converged = False
+        for _ in range(cfg.max_epochs):
+            direction = _direction(grad, memory)
+            slope = grad @ direction
+            if not slope < 0:  # rounding spoilt the curvature: steepest descent
+                memory = []
+                direction = -grad
+                slope = -(grad @ grad)
+            step = 1.0 if memory else 1.0 / max(1.0, float(np.abs(grad).sum()))
+            for _ in range(_MAX_HALVINGS + 1):
+                np.multiply(direction, step, out=trial)
+                trial += theta
+                trial_mse = loss(trial, trial_grad)
+                if trial_mse <= mse + _ARMIJO_C1 * step * slope:  # False for NaN
+                    break
+                step *= 0.5
+            else:
+                converged = True
+                break
+            s, y = trial - theta, trial_grad - grad
+            sy = s @ y
+            if sy > _MIN_CURVATURE:
+                memory = memory[1 - _MEMORY:] + [(s, y, 1.0 / sy)]
+            theta, trial = trial, theta
+            grad, trial_grad = trial_grad, grad
+            mse = trial_mse
+            mses.append(mse)
+            if (len(mses) > _PLATEAU_SPAN
+                    and mses[-1 - _PLATEAU_SPAN] - mse <= _PLATEAU_TOL * mse):
+                converged = True
+                break
+    report = TrainReport(epochs_run=len(mses) - 1, final_mse=mse,
+                         mse_history=np.asarray(mses[1:]), converged=converged)
+    return _unflatten(theta, sizes), report
 
 
 _MAGIC = "VCMLP"

@@ -211,3 +211,30 @@ def test_local_distances_match_cdist_bit_for_bit(ties):
             a = rng.standard_normal((n, dims)) * scale
             b = rng.standard_normal((m, dims)) * scale
         np.testing.assert_array_equal(_euclidean_distances(a, b), cdist(a, b))
+
+
+@pytest.mark.parametrize("m", [3000, 70000])
+def test_banded_distances_match_cdist_across_bands(m):
+    # 3000 columns make bands of 21 rows, the last one short; past 65536
+    # columns every band is one row
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((50 if m < 65536 else 3, 5))
+    b = rng.standard_normal((m, 5))
+    np.testing.assert_array_equal(_euclidean_distances(a, b), cdist(a, b))
+
+
+def test_distance_scratch_stays_bounded():
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((1000, 24))
+    b = rng.standard_normal((1000, 24))
+    tracemalloc.start()
+    try:
+        local = _euclidean_distances(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result plus one band of about 64 K cells and numpy's ufunc
+    # buffers: 1 MB over the result, where a second n x m array is 8 MB
+    assert peak <= local.nbytes + 2 * 8 * 65536

@@ -10,6 +10,11 @@ from vconv.mlp import (
     ModelVersionError,
     TrainConfig,
     TrainingDivergedError,
+    _BatchLoss,
+    _backprop,
+    _flatten,
+    _forward_all,
+    _unflatten,
     compute_gradients,
     forward,
     init_mlp,
@@ -139,26 +144,28 @@ def test_gradients_dimension_mismatch():
         compute_gradients(model, np.zeros(3), np.zeros(3))
 
 
-def test_train_single_step_hand_case():
-    # gradient is -1 for w and b, so one step at lr 0.5 moves both to 0.5
-    config = TrainConfig(learning_rate=0.5, momentum=0.0, max_epochs=1)
-    net, report = train(_linear_unit(), [([1.0], [0.5])], config)
-    np.testing.assert_allclose(net.weights[0], [[0.5]])
-    np.testing.assert_allclose(net.biases[0], [0.5])
-    assert report.epochs_run == 1
-    assert len(report.mse_history) == 1
-    # MSE is measured after the update: y = 1.0 against t = 0.5
-    assert report.final_mse == pytest.approx(0.25)
+def test_batch_loss_gradient_is_backprop_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for sizes in ([24, 50, 24], [3, 5, 2], [1, 1], [4, 7, 6, 3]):
+        net = init_mlp(sizes, seed=9)
+        x = rng.standard_normal((37, sizes[0]))
+        t = rng.standard_normal((37, sizes[-1]))
+        grad = np.empty(_flatten(net).size)
+        mse = _BatchLoss(sizes, x, t)(_flatten(net), grad)
+        acts = _forward_all(net, x)
+        grads_w, grads_b = _backprop(net, acts, (2.0 / 37) * (acts[-1] - t))
+        np.testing.assert_array_equal(grad, _flatten(MlpModel(grads_w, grads_b)))
+        assert mse == pytest.approx(np.mean(np.sum((acts[-1] - t) ** 2, axis=1)),
+                                    rel=1e-14)
 
 
-def test_train_momentum_carries_velocity():
-    # second step reuses the first step's velocity scaled by the momentum
-    config = TrainConfig(learning_rate=0.1, momentum=0.5, max_epochs=2,
-                         convergence_delta=0.0)
-    net, _ = train(_linear_unit(), [([0.0], [1.0])], config)
-    # epoch 1: grad_b = -2, v = 0.2, b = 0.2
-    # epoch 2: grad_b = 2*(0.2 - 1) = -1.6, v = 0.5*0.2 + 0.16 = 0.26, b = 0.46
-    np.testing.assert_allclose(net.biases[0], [0.46], rtol=1e-12)
+def test_unflatten_views_the_flat_vector():
+    net = init_mlp([3, 4, 2], seed=1)
+    theta = _flatten(net)
+    view = _unflatten(theta, net.layer_sizes)
+    for w, v in zip(net.weights + net.biases, view.weights + view.biases):
+        np.testing.assert_array_equal(w, v)
+        assert np.shares_memory(v, theta)
 
 
 def test_train_is_deterministic():
@@ -185,20 +192,54 @@ def test_train_reduces_loss():
 
 def test_train_converges_on_easy_task():
     pairs = [([x], [2.0 * x]) for x in (-1.0, -0.5, 0.5, 1.0)]
-    net, report = train(_linear_unit(), pairs,
-                        TrainConfig(learning_rate=0.2, momentum=0.0,
-                                    max_epochs=5000))
+    net, report = train(_linear_unit(), pairs, TrainConfig(max_epochs=5000))
     assert report.converged
     assert report.epochs_run < 5000
     np.testing.assert_allclose(net.weights[0], [[2.0]], atol=1e-3)
 
 
 def test_train_divergence_raises_with_epoch():
-    pairs = [([1.0], [1.0]), ([2.0], [4.0])]
-    config = TrainConfig(learning_rate=10.0, momentum=0.9, max_epochs=2000)
+    # a loss that is not finite before the first step cannot be descended
+    pairs = [([1e200], [1.0]), ([2.0], [4.0])]
     with pytest.raises(TrainingDivergedError) as exc:
-        train(_linear_unit(), pairs, config)
-    assert exc.value.epoch >= 0
+        train(_linear_unit(1e200), pairs, TrainConfig(max_epochs=2000))
+    assert exc.value.epoch == 0
+
+
+def test_train_mse_history_never_rises():
+    rng = np.random.default_rng(8)
+    for k in range(6):
+        sizes = [int(s) for s in rng.integers(1, 9, size=int(rng.integers(2, 5)))]
+        x = rng.standard_normal((int(rng.integers(1, 60)), sizes[0]))
+        t = np.tanh(rng.standard_normal((x.shape[0], sizes[-1])))
+        _, report = train(init_mlp(sizes, seed=k), zip(x, t),
+                          TrainConfig(max_epochs=200))
+        assert np.all(np.diff(report.mse_history) <= 0), sizes
+        assert report.mse_history[0] <= np.mean(np.sum(
+            (forward(init_mlp(sizes, seed=k), x) - t) ** 2, axis=1))
+
+
+def test_train_stops_on_a_plateau():
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((50, 3))
+    pairs = list(zip(x, np.sin(x) + 0.1 * rng.standard_normal((50, 3))))
+    _, report = train(init_mlp([3, 6, 3], seed=1), pairs,
+                      TrainConfig(max_epochs=5000))
+    assert report.converged
+    assert 10 <= report.epochs_run < 5000
+    losses = report.mse_history
+    assert losses[-11] - losses[-1] <= 3e-3 * losses[-1]
+    assert losses[-12] - losses[-2] > 3e-3 * losses[-2]
+
+
+def test_train_cap_is_the_iteration_count():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((50, 3))
+    pairs = list(zip(x, np.sin(2.0 * x)))
+    _, report = train(init_mlp([3, 6, 3], seed=1), pairs,
+                      TrainConfig(max_epochs=7))
+    assert len(report.mse_history) == report.epochs_run == 7
+    assert not report.converged
 
 
 def test_train_leaves_argument_untouched():
@@ -220,15 +261,10 @@ def test_train_rejects_bad_input():
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(momentum=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(momentum=-0.1)
-    with pytest.raises(ValueError):
         TrainConfig(max_epochs=0)
     with pytest.raises(ValueError):
-        TrainConfig(convergence_delta=-1e-9)
+        TrainConfig(max_epochs=-1)
+    assert TrainConfig(max_epochs=1).max_epochs == 1
 
 
 def test_model_file_round_trip(tmp_path):
