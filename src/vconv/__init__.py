@@ -11,13 +11,13 @@ with a cepstral-distortion style metric on the parameter tracks.
 from .align import DtwAlignment, StaleAlignmentError, dtw_align, pair_frames
 from .eval import (ConversionReport, ZeroBaselineError, conversion_report,
                    mcd_frame, mcd_sequences)
-from .lpc import (FilterUnstableError, LpcFrame, LpcTrack, analyze_frame,
-                  analyze_track, autocorrelate, inverse_filter,
-                  levinson_durbin, lpc_poles, stable_rows, synthesis_filter)
+from .lpc import (LpcFrame, LpcTrack, analyze_track, autocorrelate,
+                  inverse_filter, levinson_durbin, lpc_poles, stable_rows,
+                  synthesis_filter)
 from .lsf import (LsfConversionError, lpc_to_lsf, lsf_to_lpc, rectify_lsf,
                   validate_lsf)
 from .mlp import (MlpModel, ModelDimensionError, ModelFormatError,
-                  ModelVersionError, TrainConfig, TrainingDivergedError,
+                  ModelVersionError, TrainingDivergedError,
                   TrainReport, compute_gradients, forward, init_mlp,
                   load_model, save_model, train)
 from .signal_io import (FrameSequence, Waveform, WavDataError,

@@ -19,7 +19,7 @@ class StaleAlignmentError(IndexError):
 
 @dataclass
 class DtwAlignment:
-    path: list  # (i, j) index pairs, both coordinates non-decreasing
+    path: np.ndarray  # (cells, 2) intp (i, j) rows, both columns non-decreasing
     total_cost: float  # sum of local distances over the path cells
 
 
@@ -85,17 +85,18 @@ def dtw_align(seq_a, seq_b) -> DtwAlignment:
             else:
                 j -= 1
         path.append((i, j))
-    path.reverse()
-    return DtwAlignment(path=path, total_cost=float(acc[n - 1, m - 1]))
+    return DtwAlignment(path=np.array(path[::-1], dtype=np.intp),
+                        total_cost=float(acc[n - 1, m - 1]))
 
 
-def pair_frames(alignment: DtwAlignment, seq_a, seq_b) -> list:
-    """One (a_i, b_j) pair per path cell, in path order."""
+def pair_frames(alignment: DtwAlignment, seq_a, seq_b) -> tuple:
+    """The frames of a and of b on each path cell, in path order: two
+    (cells, dims) arrays, row k of each from cell k."""
     a = np.atleast_2d(np.asarray(seq_a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(seq_b, dtype=np.float64))
-    idx = np.asarray(alignment.path, dtype=np.intp)
-    if idx[:, 0].max() >= a.shape[0] or idx[:, 1].max() >= b.shape[0]:
+    i, j = alignment.path.T
+    if i.max() >= a.shape[0] or j.max() >= b.shape[0]:
         raise StaleAlignmentError(
-            f"path indexes up to ({idx[:, 0].max()}, {idx[:, 1].max()}) but "
+            f"path indexes up to ({i.max()}, {j.max()}) but "
             f"sequences have {a.shape[0]} and {b.shape[0]} frames")
-    return [(a[i], b[j]) for i, j in idx]
+    return a[i], b[j]

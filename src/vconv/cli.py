@@ -24,7 +24,7 @@ from .eval import ConversionReport, conversion_report
 from .lpc import (analyze_track, inverse_filter, lpc_poles, stable_rows,
                   synthesis_filter)
 from .lsf import lpc_to_lsf, lsf_to_lpc, rectify_lsf, validate_lsf
-from .mlp import MlpModel, TrainConfig, forward, init_mlp, load_model, save_model, train
+from .mlp import MlpModel, forward, init_mlp, load_model, save_model, train
 from .signal_io import (Waveform, deemphasize, frame_signal, hop_segments,
                         preemphasize, read_wav, write_wav)
 from .testkit import build_corpus
@@ -371,20 +371,21 @@ def cmd_train(args) -> int:
     for fs, ft in _load_tracks(args, args.source, args.target):
         alignment = dtw_align(fs.normalized, ft.normalized)
         if args.raw_lpc:
-            pairs.extend(pair_frames(alignment, lsf_to_lpc(fs.lsf),
+            pairs.append(pair_frames(alignment, lsf_to_lpc(fs.lsf),
                                      lsf_to_lpc(ft.lsf)))
         else:
-            pairs.extend(pair_frames(alignment, fs.normalized, ft.normalized))
+            pairs.append(pair_frames(alignment, fs.normalized, ft.normalized))
+    x, t = (np.concatenate(side) for side in zip(*pairs))
 
     model = init_mlp(sizes, args.seed)
-    trained, report = train(model, pairs, TrainConfig(max_epochs=args.epochs))
+    trained, report = train(model, x, t, args.epochs)
     save_model(trained, args.model_out)
     mse_out = args.mse_out or str(args.model_out) + ".mse.csv"
     with open(mse_out, "w") as fh:
         fh.write("epoch,mse\n")
         for i, mse in enumerate(report.mse_history, 1):
             fh.write(f"{i},{_g(mse)}\n")
-    print(f"{args.model_out}: {len(pairs)} pairs, {report.epochs_run} epochs, "
+    print(f"{args.model_out}: {len(x)} pairs, {report.epochs_run} epochs, "
           f"final mse {report.final_mse:.6g}"
           + (" (converged)" if report.converged else ""))
     return 0

@@ -37,7 +37,7 @@ def mcd_sequences(seq_t, seq_p) -> float:
     mcd_frame of every path cell, computed for all cells at once."""
     t = np.atleast_2d(np.asarray(seq_t, dtype=np.float64))
     p = np.atleast_2d(np.asarray(seq_p, dtype=np.float64))
-    i, j = np.asarray(dtw_align(t, p).path).T
+    i, j = dtw_align(t, p).path.T
     cell_mcd = _DB_FACTOR * np.sqrt(2.0 * np.sum((t[i] - p[j]) ** 2, axis=1))
     return float(np.mean(cell_mcd))
 

@@ -22,19 +22,6 @@ _SYNTHESIS_BLOCK = 64
 _POLE_BLOCK = 64
 
 
-class FilterUnstableError(RuntimeError):
-    """Synthesis output blew up (non-finite or beyond UNSTABLE_LIMIT).
-
-    Carries the offending output and the updated state so a streaming caller
-    can decide how to continue.
-    """
-
-    def __init__(self, message, output=None, state=None):
-        super().__init__(message)
-        self.output = output
-        self.state = state
-
-
 @dataclass
 class LpcFrame:
     """Order-p predictor: coefficients a_1..a_p plus the prediction gain.
@@ -131,41 +118,35 @@ def levinson_durbin(r: np.ndarray, order: int):
     return LpcTrack(coefficients=coeffs, gains=gains, degenerate=degenerate)
 
 
-def analyze_frame(frame: np.ndarray, order: int) -> LpcFrame:
-    """Autocorrelation analysis of one (windowed) frame at the given order."""
-    return levinson_durbin(autocorrelate(frame, order), order)
-
-
 def analyze_track(frames: np.ndarray, order: int) -> LpcTrack:
     """Autocorrelation analysis of every row of a (frames, length) array."""
     return levinson_durbin(autocorrelate(np.atleast_2d(frames), order), order)
 
 
-def _filter_rows(signal, lpc, state):
-    """(coefficient rows, signal rows, state, single) of a filter call; one
-    LpcFrame with a 1-D signal is a one-row track."""
-    single = isinstance(lpc, LpcFrame)
-    coeffs = np.atleast_2d(np.ascontiguousarray(
-        lpc.coefficients if single else lpc, dtype=np.float64))
-    rows = np.atleast_2d(np.asarray(signal, dtype=np.float64))
-    if len(coeffs) != len(rows):
-        raise ValueError(f"{len(coeffs)} filters vs {len(rows)} segments")
+def _filter_rows(signal, coefficients, state):
+    """(coefficient rows, signal rows, state) of a filter call, as float64
+    arrays checked against each other."""
+    coeffs = np.ascontiguousarray(coefficients, dtype=np.float64)
+    rows = np.asarray(signal, dtype=np.float64)
+    if coeffs.ndim != 2 or rows.ndim != 2 or len(coeffs) != len(rows):
+        raise ValueError(f"{len(coeffs)} filters vs {len(rows)} segments: need "
+                         f"(frames, p) and (frames, hop), got {coeffs.shape} "
+                         f"and {rows.shape}")
     state = np.asarray(state, dtype=np.float64)
     if len(state) != coeffs.shape[1]:
         raise ValueError(f"state length {len(state)} != filter order "
                          f"{coeffs.shape[1]}")
-    return coeffs, rows, state, single
+    return coeffs, rows, state
 
 
-def inverse_filter(segments, lpc, state):
+def inverse_filter(segments, coefficients, state):
     """Prediction error e[n] = s[n] - sum_k a_k s[n-k], streaming across segments.
 
-    `lpc` is one LpcFrame for a 1-D segment, or a track's (frames, p)
-    coefficients, row i filtering row i of the (frames, hop) segments.
-    `state` holds the last p input samples (oldest first) before the first
-    segment; the returned state continues the stream.
+    Row i of the (frames, p) coefficients filters row i of the (frames,
+    hop) segments.  `state` holds the last p input samples (oldest first)
+    before the first segment; the returned state continues the stream.
     """
-    coeffs, rows, state, single = _filter_rows(segments, lpc, state)
+    coeffs, rows, state = _filter_rows(segments, coefficients, state)
     p = coeffs.shape[1]
     residual = np.empty(rows.shape)
     for r, (a, seg) in enumerate(zip(coeffs, rows)):
@@ -173,7 +154,7 @@ def inverse_filter(segments, lpc, state):
         kernel = np.concatenate([[1.0], -a])
         residual[r] = np.convolve(ext, kernel)[p:p + len(seg)]
         state = ext[len(seg):]
-    return (residual[0] if single else residual), state.copy()
+    return residual, state.copy()
 
 
 def _hop_responses(coeffs, rows, buf):
@@ -199,21 +180,20 @@ def _hop_responses(coeffs, rows, buf):
     return buf[:, 0, p:], buf[:, 1:, p:]
 
 
-def synthesis_filter(residual, lpc, state):
+def synthesis_filter(residual, coefficients, state):
     """All-pole synthesis s[n] = e[n] + sum_k a_k s[n-k], streaming across segments.
 
-    `lpc` and the residual are a frame and a segment or a track, as for
-    inverse_filter; `state` holds the last p output samples (oldest
+    The (frames, p) coefficients and (frames, hop) residual rows pair up as
+    in inverse_filter; `state` holds the last p output samples (oldest
     first).  A segment whose output goes non-finite or beyond
-    UNSTABLE_LIMIT in magnitude has blown up: a one-segment call raises
-    FilterUnstableError, carrying the output and state; in a track the
-    segment's row is NaN and the next segment starts from a zero state.
+    UNSTABLE_LIMIT in magnitude has blown up: its row is NaN and the next
+    segment starts from a zero state.
 
     Block form: the responses of every filter over its hop come from
     _hop_responses, _SYNTHESIS_BLOCK rows at a time, and a pass over the
     rows adds the carried state's part, y = zero-state response + state @ Z.
     """
-    coeffs, rows, state, single = _filter_rows(residual, lpc, state)
+    coeffs, rows, state = _filter_rows(residual, coefficients, state)
     p, hop = coeffs.shape[1], rows.shape[1]
     out = np.empty(rows.shape)
     buf = np.empty((min(len(rows), _SYNTHESIS_BLOCK), p + 1, p + hop))
@@ -227,15 +207,10 @@ def synthesis_filter(residual, lpc, state):
                 out[r] = y0 + state @ z
                 state = np.concatenate([state, out[r]])[hop:]
                 peak = np.max(np.abs(out[r])) if hop else 0.0
-                if np.isfinite(peak) and peak <= UNSTABLE_LIMIT:
-                    continue
-                if single:
-                    raise FilterUnstableError(
-                        f"synthesis output reached magnitude {peak:.3g}",
-                        output=out[0], state=state)
-                out[r] = np.nan
-                state = np.zeros(p)
-    return (out[0] if single else out), state
+                if not (np.isfinite(peak) and peak <= UNSTABLE_LIMIT):
+                    out[r] = np.nan
+                    state = np.zeros(p)
+    return out, state
 
 
 def stable_rows(coefficients) -> np.ndarray:

@@ -45,15 +45,6 @@ class MlpModel:
 
 
 @dataclass
-class TrainConfig:
-    max_epochs: int = 5000  # cap on L-BFGS iterations
-
-    def __post_init__(self):
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be at least 1")
-
-
-@dataclass
 class TrainReport:
     epochs_run: int  # L-BFGS iterations accepted
     final_mse: float
@@ -208,9 +199,9 @@ def _direction(grad: np.ndarray, memory: list) -> np.ndarray:
     return np.negative(q, out=q)
 
 
-def train(model: MlpModel, pairs,
-          config: TrainConfig | None = None) -> tuple:
-    """Train a copy of `model` on (input, target) pairs; argument untouched.
+def train(model: MlpModel, x, t, max_epochs: int = 5000) -> tuple:
+    """Train a copy of `model` to map the rows of `x` to the rows of `t`,
+    both (pairs, dims) arrays; the model argument is untouched.
 
     Full-batch L-BFGS (Liu & Nocedal 1989; Nocedal & Wright Alg. 7.4) with
     Armijo backtracking that halves the step from 1, or from
@@ -220,14 +211,16 @@ def train(model: MlpModel, pairs,
     40 halvings find no step; or at max_epochs iterations.  The first two
     count as converged.
     """
-    cfg = config or TrainConfig()
-    pair_list = list(pairs)
-    if not pair_list:
-        raise ValueError("cannot train on an empty pair set")
-    x = np.asarray([np.asarray(p[0], dtype=np.float64) for p in pair_list])
-    t = np.asarray([np.asarray(p[1], dtype=np.float64) for p in pair_list])
+    if max_epochs < 1:
+        raise ValueError("max_epochs must be at least 1")
+    x, t = (np.ascontiguousarray(v, dtype=np.float64) for v in (x, t))
     if x.ndim != 2 or t.ndim != 2:
-        raise ValueError("every pair must hold two fixed-length vectors")
+        raise ValueError(f"need (pairs, dims) inputs and targets, got shapes "
+                         f"{x.shape} and {t.shape}")
+    if len(x) != len(t):
+        raise ValueError(f"{len(x)} inputs vs {len(t)} targets")
+    if not len(x):
+        raise ValueError("cannot train on an empty pair set")
     sizes = model.layer_sizes
     if x.shape[1] != sizes[0] or t.shape[1] != sizes[-1]:
         raise ValueError(f"pair dims {x.shape[1]}->{t.shape[1]} do not match "
@@ -245,7 +238,7 @@ def train(model: MlpModel, pairs,
         mses = [mse]  # before the first iteration, then after each
         memory = []
         converged = False
-        for _ in range(cfg.max_epochs):
+        for _ in range(max_epochs):
             direction = _direction(grad, memory)
             slope = grad @ direction
             if not slope < 0:  # rounding spoilt the curvature: steepest descent

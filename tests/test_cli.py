@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import vconv.cli
+from vconv.align import dtw_align
 from vconv.cli import (
     AnalysisSettings,
     FeatureFormatError,
@@ -457,6 +458,30 @@ def test_cli_train_and_evaluate(tmp_path, capsys):
     # with a single pair the MEAN row repeats the pair row
     assert pair_cells[1:] == mean_cells[1:]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("raw_lpc", [False, True])
+def test_cli_train_counts_the_path_cells_of_every_pair(tmp_path, capsys,
+                                                       raw_lpc):
+    # two pairs of unequal lengths: the training set is both DTW paths
+    from vconv.signal_io import write_wav
+    sources, targets, cells = [], [], 0
+    for k, seconds in enumerate((0.3, 0.2)):
+        specs = utterance_pair_specs("F1", "M1", seconds, 11025,
+                                     pair_seed=44000 + k)
+        src, tgt = (synthesize_utterance(spec, seconds, 11025) for spec in specs)
+        sources.append(str(tmp_path / f"s{k}.wav"))
+        targets.append(str(tmp_path / f"t{k}.wav"))
+        write_wav(src, sources[-1])
+        write_wav(tgt, targets[-1])
+        fs, ft = analyze_waveform(src)[0], analyze_waveform(tgt)[0]
+        cells += len(dtw_align(fs.normalized, ft.normalized).path)
+    rc = main(["train", "--source", *sources, "--target", *targets,
+               "--model-out", str(tmp_path / "net.mlp"), "--arch", "24-4-24",
+               "--epochs", "2"] + ["--raw-lpc"] * raw_lpc)
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"{tmp_path / 'net.mlp'}: {cells} pairs, ")
 
 
 def test_cli_f2f_model_converts_toward_the_target(tmp_path, capsys):

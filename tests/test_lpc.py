@@ -10,9 +10,7 @@ from scipy.signal import lfilter
 
 import vconv.lpc
 from vconv.lpc import (
-    FilterUnstableError,
     LpcFrame,
-    analyze_frame,
     analyze_track,
     autocorrelate,
     inverse_filter,
@@ -123,97 +121,90 @@ def test_analyze_frame_recovers_ar2():
     rng = np.random.default_rng(6)
     e = rng.standard_normal(50000)
     y = lfilter([1.0], [1.0, -1.2, 0.72], e)
-    frame = analyze_frame(y, 2)
+    frame = levinson_durbin(autocorrelate(y, 2), 2)
     np.testing.assert_allclose(frame.coefficients, [1.2, -0.72], atol=0.02)
     assert frame.gain == pytest.approx(1.0, abs=0.05)
 
 
 def test_analyze_frame_silence():
-    frame = analyze_frame(np.zeros(275), 24)
+    frame = levinson_durbin(autocorrelate(np.zeros(275), 24), 24)
     assert frame.order == 24
     assert frame.gain == 0.0
 
 
 def test_inverse_filter_hand_case():
-    lpc = LpcFrame(coefficients=np.array([0.5]), gain=1.0)
-    out, state = inverse_filter([1.0, 0.0], lpc, [0.0])
-    np.testing.assert_allclose(out, [1.0, -0.5])
+    out, state = inverse_filter([[1.0, 0.0]], [[0.5]], [0.0])
+    np.testing.assert_allclose(out, [[1.0, -0.5]])
     np.testing.assert_allclose(state, [0.0])
 
 
 def test_inverse_filter_zero_order_identity():
-    lpc = LpcFrame(coefficients=np.zeros(0), gain=1.0)
     x = np.arange(5.0)
-    out, state = inverse_filter(x, lpc, np.zeros(0))
-    np.testing.assert_array_equal(out, x)
+    out, state = inverse_filter(x[None], np.zeros((1, 0)), np.zeros(0))
+    np.testing.assert_array_equal(out, x[None])
 
 
 def test_inverse_filter_state_mismatch():
-    lpc = LpcFrame(coefficients=np.array([0.5, 0.1]), gain=1.0)
     with pytest.raises(ValueError):
-        inverse_filter([1.0], lpc, [0.0])
+        inverse_filter([[1.0]], [[0.5, 0.1]], [0.0])
 
 
 def test_inverse_filter_streaming_matches_batch():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(200)
-    lpc = analyze_frame(rng.standard_normal(500), 8)
-    whole, _ = inverse_filter(x, lpc, np.zeros(8))
+    a = levinson_durbin(autocorrelate(rng.standard_normal(500), 8), 8).coefficients
+    whole, _ = inverse_filter(x[None], a[None], np.zeros(8))
     state = np.zeros(8)
     parts = []
     for chunk in np.split(x, [13, 50, 160]):
-        seg, state = inverse_filter(chunk, lpc, state)
-        parts.append(seg)
-    np.testing.assert_allclose(np.concatenate(parts), whole, atol=1e-12)
+        seg, state = inverse_filter(chunk[None], a[None], state)
+        parts.append(seg[0])
+    np.testing.assert_allclose(np.concatenate(parts), whole[0], atol=1e-12)
 
 
 def test_synthesis_filter_impulse_response():
-    lpc = LpcFrame(coefficients=np.array([0.5]), gain=1.0)
-    e = np.zeros(10)
-    e[0] = 1.0
-    out, state = synthesis_filter(e, lpc, [0.0])
-    np.testing.assert_allclose(out, 0.5 ** np.arange(10), rtol=1e-15)
-    np.testing.assert_allclose(state, [out[-1]])
+    e = np.zeros((1, 10))
+    e[0, 0] = 1.0
+    out, state = synthesis_filter(e, [[0.5]], [0.0])
+    np.testing.assert_allclose(out, [0.5 ** np.arange(10)], rtol=1e-15)
+    np.testing.assert_allclose(state, [out[0, -1]])
 
 
 def test_synthesis_inverts_inverse_filter():
     rng = np.random.default_rng(8)
-    signal = rng.standard_normal(300)
-    lpc = analyze_frame(rng.standard_normal(500) * 0.3, 10)
-    resid, _ = inverse_filter(signal, lpc, np.zeros(10))
-    back, _ = synthesis_filter(resid, lpc, np.zeros(10))
+    signal = rng.standard_normal((1, 300))
+    a = levinson_durbin(autocorrelate(rng.standard_normal(500) * 0.3, 10),
+                        10).coefficients[None]
+    resid, _ = inverse_filter(signal, a, np.zeros(10))
+    back, _ = synthesis_filter(resid, a, np.zeros(10))
     assert np.max(np.abs(back - signal)) <= 1e-9
 
 
 def test_synthesis_filter_streaming_matches_batch():
     rng = np.random.default_rng(9)
     e = rng.standard_normal(200)
-    lpc = analyze_frame(rng.standard_normal(500), 6)
-    whole, _ = synthesis_filter(e, lpc, np.zeros(6))
+    a = levinson_durbin(autocorrelate(rng.standard_normal(500), 6), 6).coefficients
+    whole, _ = synthesis_filter(e[None], a[None], np.zeros(6))
     state = np.zeros(6)
     parts = []
     for chunk in np.split(e, [20, 77]):
-        seg, state = synthesis_filter(chunk, lpc, state)
-        parts.append(seg)
-    np.testing.assert_allclose(np.concatenate(parts), whole, atol=1e-12)
+        seg, state = synthesis_filter(chunk[None], a[None], state)
+        parts.append(seg[0])
+    np.testing.assert_allclose(np.concatenate(parts), whole[0], atol=1e-12)
 
 
-def test_synthesis_filter_unstable_raises():
-    lpc = LpcFrame(coefficients=np.array([2.0]), gain=1.0)
-    e = np.zeros(50)
-    e[0] = 1.0
-    with pytest.raises(FilterUnstableError) as exc:
-        synthesis_filter(e, lpc, [0.0])
-    # the exception carries the blown-up output for diagnostics
-    assert exc.value.output is not None
-    assert len(exc.value.output) == 50
-    assert exc.value.state is not None
+def test_synthesis_filter_unstable_row_is_nan():
+    # a pole at z = 2: the impulse response 2^n passes UNSTABLE_LIMIT at n = 40
+    e = np.zeros((1, 50))
+    e[0, 0] = 1.0
+    out, state = synthesis_filter(e, [[2.0]], [0.0])
+    assert out.shape == (1, 50) and np.isnan(out).all()
+    np.testing.assert_array_equal(state, [0.0])
 
 
 def test_synthesis_filter_state_mismatch():
-    lpc = LpcFrame(coefficients=np.array([0.5]), gain=1.0)
     with pytest.raises(ValueError):
-        synthesis_filter([1.0], lpc, [0.0, 0.0])
+        synthesis_filter([[1.0]], [[0.5]], [0.0, 0.0])
 
 
 def test_poles_first_order():
@@ -242,7 +233,8 @@ def test_poles_match_numpy_roots():
     for i in range(200):
         order = 1 + i % 24
         if i % 2:
-            a = analyze_frame(rng.standard_normal(400), order).coefficients
+            a = levinson_durbin(autocorrelate(rng.standard_normal(400), order),
+                                order).coefficients
         else:
             a = rng.normal(0.0, 0.6, order)
         assert a[-1] != 0.0
@@ -255,7 +247,8 @@ def test_poles_match_numpy_roots():
 
 def test_poles_of_a_track_match_single_frames():
     rng = np.random.default_rng(15)
-    track = np.stack([analyze_frame(rng.standard_normal(400), 24).coefficients
+    track = np.stack([levinson_durbin(autocorrelate(rng.standard_normal(400), 24),
+                                      24).coefficients
                       if i % 3 else rng.normal(0.0, 0.6, 24)
                       for i in range(150)])  # more rows than one block
     poles = lpc_poles(track)
@@ -269,7 +262,8 @@ def test_poles_of_a_track_match_single_frames():
 def test_poles_come_in_exact_conjugate_pairs():
     rng = np.random.default_rng(16)
     for _ in range(200):
-        poles = lpc_poles(analyze_frame(rng.standard_normal(400), 24))
+        poles = lpc_poles(levinson_durbin(
+            autocorrelate(rng.standard_normal(400), 24), 24))
         complex_poles = poles[poles.imag != 0.0]
         assert len(complex_poles) > 0
         np.testing.assert_array_equal(np.sort(complex_poles.conj()),
@@ -291,7 +285,7 @@ def test_poles_of_non_finite_rows_are_nan():
 
 def test_poles_satisfy_residual_bound():
     rng = np.random.default_rng(11)
-    lpc = analyze_frame(rng.standard_normal(400), 24)
+    lpc = levinson_durbin(autocorrelate(rng.standard_normal(400), 24), 24)
     roots = lpc_poles(lpc)
     poly = np.concatenate([[1.0], -lpc.coefficients]).astype(complex)
     assert np.max(np.abs(np.polyval(poly, roots))) <= 1e-8
@@ -301,7 +295,7 @@ def test_autocorrelation_method_is_minimum_phase():
     """Predictors from biased autocorrelation keep poles inside the circle."""
     rng = np.random.default_rng(12)
     for _ in range(20):
-        lpc = analyze_frame(rng.standard_normal(300), 16)
+        lpc = levinson_durbin(autocorrelate(rng.standard_normal(300), 16), 16)
         assert np.all(np.abs(lpc_poles(lpc)) < 1.0 + 1e-10)
 
 
@@ -346,7 +340,8 @@ def test_step_down_edge_cases():
     assert not stable_rows([np.inf, 0.1])[0]
     # Levinson-Durbin output is minimum phase
     rng = np.random.default_rng(14)
-    frames = np.stack([analyze_frame(rng.standard_normal(300), 16).coefficients
+    frames = np.stack([levinson_durbin(autocorrelate(rng.standard_normal(300), 16),
+                                       16).coefficients
                        for _ in range(20)])
     assert stable_rows(frames).all()
 
@@ -415,7 +410,7 @@ def test_track_analysis_matches_per_frame_reference(rate):
                                       analyze_track(frames, order).coefficients)
         # a lone frame is a one-row call of the same code
         for i in (0, len(frames) // 2, len(frames) - 1):
-            single = analyze_frame(frames[i], order)
+            single = levinson_durbin(autocorrelate(frames[i], order), order)
             np.testing.assert_array_equal(single.coefficients,
                                           track.coefficients[i])
             assert single.gain == track.gains[i]
@@ -455,8 +450,8 @@ def _segment_loop(filt, segments, coeffs, state):
     call must match bit for bit."""
     rows = []
     for seg, a in zip(segments, coeffs):
-        out, state = filt(seg, LpcFrame(coefficients=a, gain=1.0), state)
-        rows.append(out)
+        out, state = filt(seg[None], a[None], state)
+        rows.append(out[0])
     return np.stack(rows), state
 
 
@@ -559,7 +554,8 @@ def test_block_synthesis_mutes_as_the_sample_loop_does():
 
 
 def _synthesis_peak_bytes(frames, hop=55, order=24):
-    coeffs = np.tile(analyze_frame(np.arange(275.0) % 7, order).coefficients,
+    coeffs = np.tile(levinson_durbin(autocorrelate(np.arange(275.0) % 7, order),
+                                     order).coefficients,
                      (frames, 1))
     segments = np.ones((frames, hop))
     tracemalloc.start()

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vconv.lpc import LpcFrame, analyze_frame, lpc_poles
+from vconv.lpc import LpcFrame, autocorrelate, levinson_durbin, lpc_poles
 from vconv.signal_io import frame_signal, preemphasize
 from vconv.testkit import synthesize_utterance, utterance_pair_specs
 from vconv.lsf import (
@@ -73,7 +73,7 @@ def test_round_trip_from_lsf():
 def test_round_trip_from_coefficients():
     rng = np.random.default_rng(43)
     for _ in range(50):
-        lpc = analyze_frame(rng.standard_normal(400), 12)
+        lpc = levinson_durbin(autocorrelate(rng.standard_normal(400), 12), 12)
         rebuilt = lsf_to_lpc(lpc_to_lsf(lpc), lpc.gain)
         assert np.max(np.abs(rebuilt.coefficients - lpc.coefficients)) <= 1e-9
 
@@ -199,7 +199,8 @@ def _roots_lsf(coeffs):
 
 def _noise_track(seed, frames=40, order=24):
     rng = np.random.default_rng(seed)
-    return np.stack([analyze_frame(rng.standard_normal(400), order).coefficients
+    return np.stack([levinson_durbin(autocorrelate(rng.standard_normal(400), order),
+                                     order).coefficients
                      for _ in range(frames)])
 
 
@@ -226,7 +227,8 @@ def test_track_matches_per_frame_reference_bit_for_bit():
     src, _ = utterance_pair_specs("M1", "F2", 0.3, 11025, pair_seed=52)
     speech = frame_signal(preemphasize(synthesize_utterance(src, 0.3, 11025)))
     _assert_track_matches_frames_and_numpy_roots(np.concatenate([
-        np.stack([analyze_frame(f, 24).coefficients for f in speech.frames]),
+        np.stack([levinson_durbin(autocorrelate(f, 24), 24).coefficients
+                  for f in speech.frames]),
         _noise_track(53)]))
 
 

@@ -8,7 +8,6 @@ from vconv.mlp import (
     ModelDimensionError,
     ModelFormatError,
     ModelVersionError,
-    TrainConfig,
     TrainingDivergedError,
     _BatchLoss,
     _backprop,
@@ -170,10 +169,9 @@ def test_unflatten_views_the_flat_vector():
 
 def test_train_is_deterministic():
     rng = np.random.default_rng(5)
-    pairs = [(x, 0.5 * x + 0.1) for x in rng.standard_normal((30, 4))]
-    config = TrainConfig(max_epochs=50)
-    net1, rep1 = train(init_mlp([4, 6, 4], seed=2), pairs, config)
-    net2, rep2 = train(init_mlp([4, 6, 4], seed=2), pairs, config)
+    x = rng.standard_normal((30, 4))
+    net1, rep1 = train(init_mlp([4, 6, 4], seed=2), x, 0.5 * x + 0.1, 50)
+    net2, rep2 = train(init_mlp([4, 6, 4], seed=2), x, 0.5 * x + 0.1, 50)
     for w1, w2 in zip(net1.weights, net2.weights):
         np.testing.assert_array_equal(w1, w2)
     np.testing.assert_array_equal(rep1.mse_history, rep2.mse_history)
@@ -181,9 +179,8 @@ def test_train_is_deterministic():
 
 def test_train_reduces_loss():
     rng = np.random.default_rng(6)
-    pairs = [(x, 0.3 * x) for x in rng.standard_normal((40, 3))]
-    net, report = train(init_mlp([3, 8, 3], seed=3),
-                        pairs, TrainConfig(max_epochs=300))
+    x = rng.standard_normal((40, 3))
+    net, report = train(init_mlp([3, 8, 3], seed=3), x, 0.3 * x, 300)
     assert report.final_mse < report.mse_history[0]
     assert report.final_mse < 0.01
     assert report.final_mse == report.mse_history[-1]
@@ -191,8 +188,8 @@ def test_train_reduces_loss():
 
 
 def test_train_converges_on_easy_task():
-    pairs = [([x], [2.0 * x]) for x in (-1.0, -0.5, 0.5, 1.0)]
-    net, report = train(_linear_unit(), pairs, TrainConfig(max_epochs=5000))
+    x = np.array([[-1.0], [-0.5], [0.5], [1.0]])
+    net, report = train(_linear_unit(), x, 2.0 * x, 5000)
     assert report.converged
     assert report.epochs_run < 5000
     np.testing.assert_allclose(net.weights[0], [[2.0]], atol=1e-3)
@@ -200,9 +197,8 @@ def test_train_converges_on_easy_task():
 
 def test_train_divergence_raises_with_epoch():
     # a loss that is not finite before the first step cannot be descended
-    pairs = [([1e200], [1.0]), ([2.0], [4.0])]
     with pytest.raises(TrainingDivergedError) as exc:
-        train(_linear_unit(1e200), pairs, TrainConfig(max_epochs=2000))
+        train(_linear_unit(1e200), [[1e200], [2.0]], [[1.0], [4.0]], 2000)
     assert exc.value.epoch == 0
 
 
@@ -212,8 +208,7 @@ def test_train_mse_history_never_rises():
         sizes = [int(s) for s in rng.integers(1, 9, size=int(rng.integers(2, 5)))]
         x = rng.standard_normal((int(rng.integers(1, 60)), sizes[0]))
         t = np.tanh(rng.standard_normal((x.shape[0], sizes[-1])))
-        _, report = train(init_mlp(sizes, seed=k), zip(x, t),
-                          TrainConfig(max_epochs=200))
+        _, report = train(init_mlp(sizes, seed=k), x, t, 200)
         assert np.all(np.diff(report.mse_history) <= 0), sizes
         assert report.mse_history[0] <= np.mean(np.sum(
             (forward(init_mlp(sizes, seed=k), x) - t) ** 2, axis=1))
@@ -222,9 +217,8 @@ def test_train_mse_history_never_rises():
 def test_train_stops_on_a_plateau():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((50, 3))
-    pairs = list(zip(x, np.sin(x) + 0.1 * rng.standard_normal((50, 3))))
-    _, report = train(init_mlp([3, 6, 3], seed=1), pairs,
-                      TrainConfig(max_epochs=5000))
+    t = np.sin(x) + 0.1 * rng.standard_normal((50, 3))
+    _, report = train(init_mlp([3, 6, 3], seed=1), x, t, 5000)
     assert report.converged
     assert 10 <= report.epochs_run < 5000
     losses = report.mse_history
@@ -235,9 +229,7 @@ def test_train_stops_on_a_plateau():
 def test_train_cap_is_the_iteration_count():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((50, 3))
-    pairs = list(zip(x, np.sin(2.0 * x)))
-    _, report = train(init_mlp([3, 6, 3], seed=1), pairs,
-                      TrainConfig(max_epochs=7))
+    _, report = train(init_mlp([3, 6, 3], seed=1), x, np.sin(2.0 * x), 7)
     assert len(report.mse_history) == report.epochs_run == 7
     assert not report.converged
 
@@ -245,26 +237,31 @@ def test_train_cap_is_the_iteration_count():
 def test_train_leaves_argument_untouched():
     model = init_mlp([2, 3, 2], seed=4)
     before = [w.copy() for w in model.weights]
-    pairs = [(np.zeros(2), np.ones(2))]
-    train(model, pairs, TrainConfig(max_epochs=10))
+    train(model, np.zeros((1, 2)), np.ones((1, 2)), 10)
     for w, old in zip(model.weights, before):
         np.testing.assert_array_equal(w, old)
 
 
 def test_train_rejects_bad_input():
     model = init_mlp([2, 2], seed=0)
-    with pytest.raises(ValueError):
-        train(model, [])
-    with pytest.raises(ValueError):
-        train(model, [(np.zeros(3), np.zeros(2))])
+    with pytest.raises(ValueError, match="empty"):
+        train(model, np.zeros((0, 2)), np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="do not match"):
+        train(model, np.zeros((1, 3)), np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="3 inputs vs 2 targets"):
+        train(model, np.zeros((3, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"got shapes \(2,\) and \(1, 2\)"):
+        train(model, np.zeros(2), np.zeros((1, 2)))
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(max_epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(max_epochs=-1)
-    assert TrainConfig(max_epochs=1).max_epochs == 1
+    model = init_mlp([2, 2], seed=0)
+    x = np.zeros((1, 2))
+    with pytest.raises(ValueError, match="max_epochs"):
+        train(model, x, x, max_epochs=0)
+    with pytest.raises(ValueError, match="max_epochs"):
+        train(model, x, x, max_epochs=-1)
+    assert train(model, x, x, max_epochs=1)[1].epochs_run <= 1
 
 
 def test_model_file_round_trip(tmp_path):
