@@ -23,7 +23,7 @@ from .align import dtw_align, pair_frames
 from .eval import ConversionReport, conversion_report
 from .lpc import (analyze_track, inverse_filter, lpc_poles, stable_rows,
                   synthesis_filter)
-from .lsf import lpc_to_lsf, lsf_to_lpc, rectify_lsf, validate_lsf
+from .lsf import _ascending_rows, lpc_to_lsf, lsf_to_lpc, rectify_lsf
 from .mlp import MlpModel, forward, init_mlp, load_model, save_model, train
 from .signal_io import (Waveform, deemphasize, frame_signal, hop_segments,
                         preemphasize, read_wav, write_wav)
@@ -232,6 +232,8 @@ def read_features(path) -> FeatureTrack:
         for f in fields(AnalysisSettings)})
     if not rows:
         raise FeatureFormatError(f"{path}: no frames")
+    if settings.order < 1:
+        raise FeatureFormatError(f"{path}: order {settings.order} is not positive")
     if any(len(r) != settings.order + 1 for r in rows):
         raise FeatureFormatError(f"{path}: rows must hold gain plus "
                                  f"{settings.order} LSF values")
@@ -240,10 +242,10 @@ def read_features(path) -> FeatureTrack:
     bad_gain = np.flatnonzero(~np.isfinite(table[:, 0]))
     if len(bad_gain):
         raise FeatureFormatError(f"{path}: frame {bad_gain[0]} gain is not finite")
-    for i, row in enumerate(lsf):
-        if not validate_lsf(row):
-            raise FeatureFormatError(f"{path}: frame {i} LSF row is not "
-                                     "strictly ascending in (0, pi)")
+    bad_lsf = np.flatnonzero(~_ascending_rows(lsf))
+    if len(bad_lsf):
+        raise FeatureFormatError(f"{path}: frame {bad_lsf[0]} LSF row is not "
+                                 "strictly ascending in (0, pi)")
     counts = {key: _meta_value(meta, key, int, path)  # optional, default 0
               for key in ("fallbacks", "degenerate") if key in meta}
     return FeatureTrack(lsf=lsf, gains=table[:, 0], settings=settings,

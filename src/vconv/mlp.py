@@ -15,7 +15,8 @@ import numpy as np
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite; carries the epoch at which it happened."""
+    """The loss is not finite before training's first step, which `train`
+    reports as epoch 0; a non-finite trial loss only fails a line search."""
 
     def __init__(self, epoch: int):
         super().__init__(f"training loss became non-finite at epoch {epoch}")
@@ -66,55 +67,60 @@ def init_mlp(layer_sizes, seed: int = 42) -> MlpModel:
     return MlpModel(weights=weights, biases=biases)
 
 
-def _forward_all(model: MlpModel, x2d: np.ndarray) -> list:
-    """Activations per layer for a (n, d_in) batch; last entry is the output."""
-    acts = [x2d]
-    last = len(model.weights) - 1
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = acts[-1] @ w.T + b
-        acts.append(z if l == last else np.tanh(z))
-    return acts
+def _forward_into(net: MlpModel, acts: list) -> None:
+    """Fill acts[1:], one (n, fan_out) buffer per layer, with the layer
+    outputs for the batch in acts[0]; the last entry is the network output."""
+    last = len(net.weights) - 1
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[l + 1]
+        np.matmul(acts[l], w.T, out=z)
+        z += b
+        if l < last:
+            np.tanh(z, out=z)
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
     """Network output for a single vector or a (n, d_in) batch."""
     arr = np.asarray(x, dtype=np.float64)
-    if arr.shape[-1] != model.layer_sizes[0]:
+    sizes = model.layer_sizes
+    if arr.shape[-1] != sizes[0]:
         raise ValueError(f"input has {arr.shape[-1]} dims, "
-                         f"model expects {model.layer_sizes[0]}")
-    single = arr.ndim == 1
-    out = _forward_all(model, np.atleast_2d(arr))[-1]
-    return out[0] if single else out
+                         f"model expects {sizes[0]}")
+    batch = np.atleast_2d(arr)
+    acts = [batch] + [np.empty((len(batch), s)) for s in sizes[1:]]
+    _forward_into(model, acts)
+    return acts[-1][0] if arr.ndim == 1 else acts[-1]
 
 
-def _backprop(model: MlpModel, acts: list, delta: np.ndarray):
-    """Weight/bias gradients given d(loss)/d(output) rows in `delta`."""
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    for l in range(len(model.weights) - 1, -1, -1):
-        grads_w[l] = delta.T @ acts[l]
-        grads_b[l] = delta.sum(axis=0)
-        if l > 0:
-            delta = (delta @ model.weights[l]) * (1.0 - acts[l] ** 2)
-    return grads_w, grads_b
+def _pairs(model: MlpModel, x, t) -> tuple:
+    """`x` and `t` as contiguous float64 arrays, checked against `model`."""
+    x, t = (np.ascontiguousarray(v, dtype=np.float64) for v in (x, t))
+    if x.ndim != 2 or t.ndim != 2:
+        raise ValueError(f"need (pairs, dims) inputs and targets, got shapes "
+                         f"{x.shape} and {t.shape}")
+    if len(x) != len(t):
+        raise ValueError(f"{len(x)} inputs vs {len(t)} targets")
+    if not len(x):
+        raise ValueError("cannot train on an empty pair set")
+    sizes = model.layer_sizes
+    if x.shape[1] != sizes[0] or t.shape[1] != sizes[-1]:
+        raise ValueError(f"pair dims {x.shape[1]}->{t.shape[1]} do not match "
+                         f"model {sizes[0]}->{sizes[-1]}")
+    return x, t
 
 
 def compute_gradients(model: MlpModel, x, target):
-    """Exact gradients of the per-sample loss sum((y - target)^2).
+    """Exact gradients of sum((y - target)^2) over the outputs and the rows
+    of `x`: the training MSE and its gradient times the row count.
 
     Returns (weight gradients, bias gradients, loss).
     """
-    xv = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    tv = np.atleast_2d(np.asarray(target, dtype=np.float64))
-    sizes = model.layer_sizes
-    if xv.shape[1] != sizes[0] or tv.shape[1] != sizes[-1]:
-        raise ValueError(f"sample dims {xv.shape[1]}->{tv.shape[1]} do not "
-                         f"match model {sizes[0]}->{sizes[-1]}")
-    acts = _forward_all(model, xv)
-    diff = acts[-1] - tv
-    loss = float(np.sum(diff ** 2))
-    grads_w, grads_b = _backprop(model, acts, 2.0 * diff)
-    return grads_w, grads_b, loss
+    x, t = _pairs(model, np.atleast_2d(x), np.atleast_2d(target))
+    theta, sizes = _flatten(model), model.layer_sizes
+    grad = np.empty_like(theta)
+    loss = _BatchLoss(sizes, x, t)(theta, grad) * len(x)
+    grads = _unflatten(grad * len(x), sizes)
+    return grads.weights, grads.biases, loss
 
 
 def _flatten(model: MlpModel) -> np.ndarray:
@@ -136,8 +142,7 @@ def _unflatten(theta: np.ndarray, sizes) -> MlpModel:
 
 class _BatchLoss:
     """Training MSE of a fixed batch and its gradient, as a function of the
-    flat parameter vector; the arithmetic of `_forward_all` and `_backprop`,
-    run in buffers allocated once."""
+    flat parameter vector, computed in buffers allocated once."""
 
     def __init__(self, sizes, x: np.ndarray, t: np.ndarray):
         self.sizes, self.x, self.t = sizes, x, t
@@ -150,13 +155,8 @@ class _BatchLoss:
         """MSE at `theta`; its gradient is written into `grad`."""
         net, dnet = _unflatten(theta, self.sizes), _unflatten(grad, self.sizes)
         acts, deltas = self.acts, self.deltas
+        _forward_into(net, acts)
         last = len(net.weights) - 1
-        for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-            z = acts[l + 1]
-            np.matmul(acts[l], w.T, out=z)
-            z += b
-            if l < last:
-                np.tanh(z, out=z)
         delta = deltas[last]
         np.subtract(acts[-1], self.t, out=delta)
         n = self.x.shape[0]
@@ -213,19 +213,8 @@ def train(model: MlpModel, x, t, max_epochs: int = 5000) -> tuple:
     """
     if max_epochs < 1:
         raise ValueError("max_epochs must be at least 1")
-    x, t = (np.ascontiguousarray(v, dtype=np.float64) for v in (x, t))
-    if x.ndim != 2 or t.ndim != 2:
-        raise ValueError(f"need (pairs, dims) inputs and targets, got shapes "
-                         f"{x.shape} and {t.shape}")
-    if len(x) != len(t):
-        raise ValueError(f"{len(x)} inputs vs {len(t)} targets")
-    if not len(x):
-        raise ValueError("cannot train on an empty pair set")
+    x, t = _pairs(model, x, t)
     sizes = model.layer_sizes
-    if x.shape[1] != sizes[0] or t.shape[1] != sizes[-1]:
-        raise ValueError(f"pair dims {x.shape[1]}->{t.shape[1]} do not match "
-                         f"model {sizes[0]}->{sizes[-1]}")
-
     loss = _BatchLoss(sizes, x, t)
     theta = _flatten(model)
     trial, grad, trial_grad = (np.empty_like(theta) for _ in range(3))

@@ -214,7 +214,7 @@ def test_read_features_rejects_invalid_lsf_row(tmp_path, utterance):
     cells[1], cells[2] = cells[2], cells[1]  # break the ascending order
     lines[-1] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FeatureFormatError):
+    with pytest.raises(FeatureFormatError, match=f"frame {len(feats.lsf) - 1} "):
         read_features(path)
 
 
@@ -236,6 +236,17 @@ def test_read_features_rejects_bad_fallbacks_header(tmp_path, utterance):
     write_features(feats, path)
     path.write_text(path.read_text().replace("# fallbacks=0", "# fallbacks=x", 1))
     with pytest.raises(FeatureFormatError):
+        read_features(path)
+
+
+def test_read_features_rejects_zero_order(tmp_path, utterance):
+    feats, _ = analyze_waveform(utterance)
+    path = tmp_path / "u.feat.csv"
+    write_features(feats, path)
+    lines = [ln if ln.startswith("#") else ln.split(",")[0]  # gain only
+             for ln in path.read_text().splitlines()]
+    path.write_text("\n".join(lines).replace("# order=24", "# order=0") + "\n")
+    with pytest.raises(FeatureFormatError, match="order 0"):
         read_features(path)
 
 

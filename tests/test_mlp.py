@@ -9,10 +9,7 @@ from vconv.mlp import (
     ModelFormatError,
     ModelVersionError,
     TrainingDivergedError,
-    _BatchLoss,
-    _backprop,
     _flatten,
-    _forward_all,
     _unflatten,
     compute_gradients,
     forward,
@@ -105,34 +102,36 @@ def test_gradients_zero_at_perfect_fit():
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(42)
     model = init_mlp([3, 5, 2], seed=7)
-    x = rng.standard_normal(3)
-    t = rng.standard_normal(2)
-    grads_w, grads_b, _ = compute_gradients(model, x, t)
     h = 1e-6
+    # one vector, then a 5-row batch whose loss sums over the rows
+    for x, t in [(rng.standard_normal(3), rng.standard_normal(2)),
+                 (rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))]:
+        grads_w, grads_b, loss = compute_gradients(model, x, t)
 
-    def loss_at(m):
-        y = forward(m, x)
-        return float(np.sum((y - t) ** 2))
+        def loss_at(m):
+            y = forward(m, x)
+            return float(np.sum((y - t) ** 2))
 
-    for l in range(len(model.weights)):
-        for idx in np.ndindex(model.weights[l].shape):
-            model.weights[l][idx] += h
-            up = loss_at(model)
-            model.weights[l][idx] -= 2 * h
-            down = loss_at(model)
-            model.weights[l][idx] += h
-            numeric = (up - down) / (2 * h)
-            ref = max(abs(numeric), abs(grads_w[l][idx]), 1e-3)
-            assert abs(grads_w[l][idx] - numeric) / ref <= 1e-4
-        for u in range(len(model.biases[l])):
-            model.biases[l][u] += h
-            up = loss_at(model)
-            model.biases[l][u] -= 2 * h
-            down = loss_at(model)
-            model.biases[l][u] += h
-            numeric = (up - down) / (2 * h)
-            ref = max(abs(numeric), abs(grads_b[l][u]), 1e-3)
-            assert abs(grads_b[l][u] - numeric) / ref <= 1e-4
+        assert loss == pytest.approx(loss_at(model), rel=1e-14)
+        for l in range(len(model.weights)):
+            for idx in np.ndindex(model.weights[l].shape):
+                model.weights[l][idx] += h
+                up = loss_at(model)
+                model.weights[l][idx] -= 2 * h
+                down = loss_at(model)
+                model.weights[l][idx] += h
+                numeric = (up - down) / (2 * h)
+                ref = max(abs(numeric), abs(grads_w[l][idx]), 1e-3)
+                assert abs(grads_w[l][idx] - numeric) / ref <= 1e-4
+            for u in range(len(model.biases[l])):
+                model.biases[l][u] += h
+                up = loss_at(model)
+                model.biases[l][u] -= 2 * h
+                down = loss_at(model)
+                model.biases[l][u] += h
+                numeric = (up - down) / (2 * h)
+                ref = max(abs(numeric), abs(grads_b[l][u]), 1e-3)
+                assert abs(grads_b[l][u] - numeric) / ref <= 1e-4
 
 
 def test_gradients_dimension_mismatch():
@@ -141,21 +140,10 @@ def test_gradients_dimension_mismatch():
         compute_gradients(model, np.zeros(4), np.zeros(2))
     with pytest.raises(ValueError):
         compute_gradients(model, np.zeros(3), np.zeros(3))
-
-
-def test_batch_loss_gradient_is_backprop_bit_for_bit():
-    rng = np.random.default_rng(3)
-    for sizes in ([24, 50, 24], [3, 5, 2], [1, 1], [4, 7, 6, 3]):
-        net = init_mlp(sizes, seed=9)
-        x = rng.standard_normal((37, sizes[0]))
-        t = rng.standard_normal((37, sizes[-1]))
-        grad = np.empty(_flatten(net).size)
-        mse = _BatchLoss(sizes, x, t)(_flatten(net), grad)
-        acts = _forward_all(net, x)
-        grads_w, grads_b = _backprop(net, acts, (2.0 / 37) * (acts[-1] - t))
-        np.testing.assert_array_equal(grad, _flatten(MlpModel(grads_w, grads_b)))
-        assert mse == pytest.approx(np.mean(np.sum((acts[-1] - t) ** 2, axis=1)),
-                                    rel=1e-14)
+    with pytest.raises(ValueError, match="empty"):
+        compute_gradients(model, np.zeros((0, 3)), np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="3 inputs vs 2 targets"):
+        compute_gradients(model, np.zeros((3, 3)), np.zeros((2, 2)))
 
 
 def test_unflatten_views_the_flat_vector():
